@@ -1,14 +1,15 @@
 """RL004 — wire replies and protocol vocabulary live in ``protocol.py`` only.
 
-Three front ends (stdio, threaded TCP, asyncio) speak the same line protocol.
-The only reason they *stay* wire-identical — the property the equality tests
-pin — is that every reply string and every command word comes from
-``repro.serving.protocol``.  PR 6's review round caught inline
-``f"error: ..."`` formatting drifting between ``server.py`` and ``aio.py``;
-this rule makes that a build failure.
+Three front ends (stdio, threaded TCP, asyncio) speak the same line protocol
+through one serving core.  Replies stay wire-identical — the property the
+equality tests pin — because every reply string and every command word
+comes from ``repro.serving.protocol``; an inline ``f"error: ..."`` would
+drift.
 
-Scope: the front-end modules (``serving/server.py``, ``serving/aio.py``).
-Flagged there:
+Scope: the modules that render line-protocol replies — ``serving/aio.py``
+(the serving core, which parses lines and renders replies, and the asyncio
+transport) and ``serving/server.py`` (the threaded transport, which renders
+error replies).  Flagged there:
 
 * f-strings or plain string constants that begin with a wire reply prefix
   (``"ok "`` / ``"error:"``) — replies must be built by ``protocol.py``
@@ -33,7 +34,7 @@ from ..base import Finding, ModuleContext, Rule, register_rule
 
 __all__ = ["ProtocolDriftRule"]
 
-#: Modules that speak the wire protocol but must not define it.
+#: Modules that render line-protocol replies but must not define them.
 _FRONTEND_SUFFIXES = ("serving/server.py", "serving/aio.py")
 
 _REPLY_PREFIXES: Tuple[str, ...] = ("ok ", "error:")
@@ -68,8 +69,8 @@ class ProtocolDriftRule(Rule):
     id = "RL004"
     name = "protocol-drift"
     description = (
-        "front ends (serving/server.py, serving/aio.py) must not inline wire reply "
-        "strings or protocol command literals; use protocol.py helpers/constants"
+        "modules rendering wire replies (serving/aio.py, serving/server.py) must not "
+        "inline reply strings or protocol command literals; use protocol.py helpers/constants"
     )
     rationale = (
         "three front ends stay wire-identical only because replies and vocabulary "

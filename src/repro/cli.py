@@ -487,6 +487,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     from repro.errors import GraphError, ReproError, SerializationError
     from repro.graph.io import read_edge_list
     from repro.serving import (
+        AsyncQueryFrontend,
         LRUCache,
         QueryServer,
         ServerMetrics,
@@ -495,8 +496,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         StructuredLogger,
         TraceRecorder,
         replay_mutations,
-        serve_stdio,
-        serve_tcp,
     )
 
     if (args.index is None) == (args.edge_list is None):
@@ -644,27 +643,77 @@ def _run_serve_command(args: argparse.Namespace) -> int:
             exit_code = _warm_serve_cache(args, backend, manager, cache, logger)
             if exit_code != 0:
                 return exit_code
-        if args.use_async:
-            return _run_async_serve(
-                args, backend, manager, metrics, cache, tracer, logger
-            )
-        server = QueryServer(
-            backend,
+        front_kwargs = dict(
             cache=cache,
             max_batch_size=args.batch_size,
             batch_timeout=args.batch_timeout_ms / 1000.0,
             max_pending=args.max_pending,
             metrics=metrics,
             tracer=tracer,
-            logger=logger.child("server") if logger is not None else None,
         )
-        health, shadow = _start_observability(args, server, logger)
-        try:
-            return _run_serve_loop(
-                args, server, manager, replay_mutations, serve_stdio, serve_tcp, logger
+        # Constructed before any mutations replay: the front end pins the
+        # current snapshot version for cache invalidation at construction, so
+        # a replayed publish afterwards bumps the version and flushes any
+        # --warm entries on the first batch instead of serving them stale.
+        if args.use_async:
+            front = AsyncQueryFrontend(
+                backend,
+                health_check_interval=5.0 if sharded else None,
+                logger=logger.child("aio") if logger is not None else None,
+                **front_kwargs,
             )
+        else:
+            front = QueryServer(
+                backend,
+                logger=logger.child("server") if logger is not None else None,
+                **front_kwargs,
+            )
+        if args.mutations is not None:
+            # Replayed before any listener exists.
+            try:
+                with open(args.mutations, "r", encoding="utf-8") as handle:
+                    counts = replay_mutations(front, handle)
+            except (OSError, ValueError, ReproError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            if logger is not None:
+                logger.event(
+                    "mutations_replayed", path=args.mutations,
+                    version=manager.version, **counts,
+                )
+            else:
+                print(
+                    f"replayed {args.mutations}: {counts['added']} insertions, "
+                    f"{counts['removed']} deletions, {counts['published']} "
+                    f"publishes (now at version {manager.version})",
+                    file=sys.stderr,
+                )
+        health, shadow = _start_observability(args, front, logger)
+        try:
+            if args.use_async:
+                _run_async_serve(args, front, logger)
+            else:
+                _run_threaded_serve(args, front, logger)
         finally:
             _stop_observability(health, shadow)
+        stats = front.metrics_snapshot()
+        if logger is not None:
+            logger.event(
+                "serve_done",
+                num_queries=stats["num_queries"],
+                num_batches=stats["num_batches"],
+                latency_p50_ms=stats["latency_p50_ms"],
+                latency_p99_ms=stats["latency_p99_ms"],
+            )
+        else:
+            print(
+                f"served {stats['num_queries']:.0f} queries in "
+                f"{stats['num_batches']:.0f} batches "
+                f"(p50 {stats['latency_p50_ms']:.3f} ms, "
+                f"p99 {stats['latency_p99_ms']:.3f} ms)",
+                file=sys.stderr,
+            )
+        return 0
     finally:
         if engine is not None:
             engine.close()
@@ -746,52 +795,9 @@ def _warm_serve_cache(args, backend, manager, cache, logger=None) -> int:
     return 0
 
 
-def _run_async_serve(args, backend, manager, metrics, cache, tracer=None, logger=None) -> int:
+def _run_async_serve(args, frontend, logger=None) -> None:
     """Serve through the asyncio front end until SIGTERM/SIGINT drains it."""
     import asyncio
-
-    from repro.errors import ReproError
-    from repro.serving import AsyncQueryFrontend, QueryServer, replay_mutations
-
-    # Constructed before any mutations replay: the frontend pins the current
-    # snapshot version for cache invalidation at construction, so a replayed
-    # publish afterwards bumps the version and flushes any --warm entries on
-    # the first batch instead of serving them stale.
-    frontend = AsyncQueryFrontend(
-        backend,
-        cache=cache,
-        max_batch_size=args.batch_size,
-        batch_timeout=args.batch_timeout_ms / 1000.0,
-        max_pending=args.max_pending,
-        metrics=metrics,
-        health_check_interval=5.0 if args.workers > 1 else None,
-        tracer=tracer,
-        logger=logger.child("aio") if logger is not None else None,
-    )
-
-    if args.mutations is not None:
-        # Replay before any listener exists.  The never-started QueryServer is
-        # only a shim reusing the threaded server's mutation dispatch; it
-        # serves no queries.
-        shim = QueryServer(backend, metrics=metrics)
-        try:
-            with open(args.mutations, "r", encoding="utf-8") as handle:
-                counts = replay_mutations(shim, handle)
-        except (OSError, ValueError, ReproError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if logger is not None:
-            logger.event(
-                "mutations_replayed", path=args.mutations,
-                version=manager.version, **counts,
-            )
-        else:
-            print(
-                f"replayed {args.mutations}: {counts['added']} insertions, "
-                f"{counts['removed']} deletions, {counts['published']} "
-                f"publishes (now at version {manager.version})",
-                file=sys.stderr,
-            )
 
     def announce(front) -> None:
         host, port = front.tcp_address
@@ -814,7 +820,6 @@ def _run_async_serve(args, backend, manager, metrics, cache, tracer=None, logger
             )
         sys.stderr.flush()
 
-    health, shadow = _start_observability(args, frontend, logger)
     try:
         asyncio.run(
             frontend.serve(
@@ -823,53 +828,13 @@ def _run_async_serve(args, backend, manager, metrics, cache, tracer=None, logger
         )
     except KeyboardInterrupt:  # pragma: no cover - non-main-thread loops only
         pass
-    finally:
-        _stop_observability(health, shadow)
-    stats = frontend.metrics_snapshot()
-    if logger is not None:
-        logger.event(
-            "serve_done",
-            num_queries=stats["num_queries"],
-            num_batches=stats["num_batches"],
-            latency_p50_ms=stats["latency_p50_ms"],
-            latency_p99_ms=stats["latency_p99_ms"],
-        )
-    else:
-        print(
-            f"served {stats['num_queries']:.0f} queries in "
-            f"{stats['num_batches']:.0f} batches "
-            f"(p50 {stats['latency_p50_ms']:.3f} ms, "
-            f"p99 {stats['latency_p99_ms']:.3f} ms)",
-            file=sys.stderr,
-        )
-    return 0
 
 
-def _run_serve_loop(
-    args, server, manager, replay_mutations, serve_stdio, serve_tcp, logger=None
-) -> int:
-    from repro.errors import ReproError
+def _run_threaded_serve(args, server, logger=None) -> None:
+    """Serve stdio (no ``--port``) or threaded TCP until EOF/QUIT or interrupt."""
+    from repro.serving import serve_stdio, serve_tcp
 
     with server:
-        if args.mutations is not None:
-            try:
-                with open(args.mutations, "r", encoding="utf-8") as handle:
-                    counts = replay_mutations(server, handle)
-            except (OSError, ValueError, ReproError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            if logger is not None:
-                logger.event(
-                    "mutations_replayed", path=args.mutations,
-                    version=manager.version, **counts,
-                )
-            else:
-                print(
-                    f"replayed {args.mutations}: {counts['added']} insertions, "
-                    f"{counts['removed']} deletions, {counts['published']} "
-                    f"publishes (now at version {manager.version})",
-                    file=sys.stderr,
-                )
         if args.port is None:
             if logger is not None:
                 logger.event("listening", transport="stdio")
@@ -881,38 +846,20 @@ def _run_serve_loop(
                     file=sys.stderr,
                 )
             serve_stdio(server)
-        else:
-            tcp = serve_tcp(server, args.host, args.port)
-            host, port = tcp.server_address[:2]
-            if logger is not None:
-                logger.event("listening", host=host, port=port, frontend="threaded")
-            else:
-                print(f"listening on {host}:{port}", file=sys.stderr)
-            try:
-                tcp.serve_forever()
-            except KeyboardInterrupt:  # pragma: no cover - interactive only
-                pass
-            finally:
-                tcp.shutdown()
-                tcp.server_close()
-        stats = server.metrics_snapshot()
+            return
+        tcp = serve_tcp(server, args.host, args.port)
+        host, port = tcp.server_address[:2]
         if logger is not None:
-            logger.event(
-                "serve_done",
-                num_queries=stats["num_queries"],
-                num_batches=stats["num_batches"],
-                latency_p50_ms=stats["latency_p50_ms"],
-                latency_p99_ms=stats["latency_p99_ms"],
-            )
+            logger.event("listening", host=host, port=port, frontend="threaded")
         else:
-            print(
-                f"served {stats['num_queries']:.0f} queries in "
-                f"{stats['num_batches']:.0f} batches "
-                f"(p50 {stats['latency_p50_ms']:.3f} ms, "
-                f"p99 {stats['latency_p99_ms']:.3f} ms)",
-                file=sys.stderr,
-            )
-    return 0
+            print(f"listening on {host}:{port}", file=sys.stderr)
+        try:
+            tcp.serve_forever()
+        except KeyboardInterrupt:  # pragma: no cover - interactive only
+            pass
+        finally:
+            tcp.shutdown()
+            tcp.server_close()
 
 
 def _command_datasets(args: argparse.Namespace) -> int:

@@ -11,14 +11,20 @@ while the index is updated underneath it.
   cache with hit/miss/eviction counters.
 * :mod:`~repro.serving.snapshot` — :class:`SnapshotManager`, lock-free
   reader snapshots with atomic hot swap of updated or reloaded indexes.
-* :mod:`~repro.serving.server` — :class:`QueryServer`, the threaded request
-  loop with coalescing and admission control, plus stdio/TCP front ends and
-  the cache-warming replay (:func:`warm_cache`).
-* :mod:`~repro.serving.aio` — :class:`AsyncQueryFrontend`, the asyncio front
-  end multiplexing thousands of connections on one event loop, with the
-  HTTP admin plane (Prometheus ``/metrics``, ``/healthz``, ``/publish``,
-  ``/alerts``) plus the debug surface (``/traces``, ``/debug/threads``,
-  ``/debug/profile``, ``/debug/bundle``) and graceful drain.
+* :mod:`~repro.serving.aio` — :class:`~repro.serving.aio.ServingCore`, the
+  one serving core: admission control, batch evaluation through the cache,
+  one-to-many fan-outs, mutations, metrics/traces/alerts and the line
+  protocol.  Two transports drive it and add only their concurrency:
+  :class:`AsyncQueryFrontend` (same module) multiplexes thousands of
+  connections on one event loop, with the HTTP admin plane (Prometheus
+  ``/metrics``, ``/healthz``, ``/publish``, ``/alerts``) plus the debug
+  surface (``/traces``, ``/debug/threads``, ``/debug/profile``,
+  ``/debug/bundle``) and graceful drain.
+* :mod:`~repro.serving.server` — :class:`QueryServer`, the threaded
+  transport (a worker thread coalescing a queue, blocking callers), plus the
+  stdio and thread-per-connection TCP front ends, mutation replay
+  (:func:`replay_mutations`) and the cache-warming replay
+  (:func:`warm_cache`).
 * :mod:`~repro.serving.alerts` — :class:`HealthMonitor`, the background
   health engine evaluating the default SLO/burn-rate alert rules against
   metrics snapshots, and :class:`ShadowCanary`, the sampled shadow

@@ -1,24 +1,31 @@
-"""Asyncio serving front end: thousands of connections on one event loop.
+"""The serving core both front ends share, and the asyncio front end.
 
-The threaded TCP server (:mod:`repro.serving.server`) pins one thread per
-connection, so a few thousand mostly-idle clients exhaust the thread budget
-long before the engine is saturated.  :class:`AsyncQueryFrontend` multiplexes
-all of them on a single event loop instead:
+:class:`ServingCore` is the transport-agnostic request pipeline: admission,
+batch evaluation through the hot-pair cache, completion, traces and
+counters, fan-outs, mutations, metrics and the line protocol.  Its two
+transports add only their concurrency: the threaded
+:class:`~repro.serving.server.QueryServer` and :class:`AsyncQueryFrontend`.
+The core lives in this module because the benchmark's traced run
+(``perfbench/instrument.py``) wraps ``cached_query_batch`` and the protocol
+parse/format functions as attributes of ``repro.serving.aio``.
+
+The asyncio front end multiplexes thousands of connections on one event
+loop:
 
 * **Line protocol over asyncio streams.**  Every client connection speaks
-  exactly the protocol of the threaded server (``s t`` queries,
-  ``add``/``remove``/``publish`` mutations, ``STATS`` / ``STATS JSON``,
-  ``QUIT``); query, mutation and error replies are rendered through the
-  shared :mod:`~repro.serving.protocol` formatters, so they are
-  byte-identical across front ends (the stats replies additionally report
-  ``num_connections`` here).  An idle connection costs a couple of
-  suspended coroutines, not a thread.
+  exactly the protocol of the threaded server (``s t`` queries, ``many``
+  fan-outs, ``add``/``remove``/``publish`` mutations, ``STATS`` /
+  ``STATS JSON``, ``TRACES``, ``ALERTS``, ``QUIT``), parsed and rendered by
+  the shared core, so every reply is byte-identical across front ends —
+  except that the stats reply here additionally reports the transport's own
+  ``num_connections`` and ``event_loop_lag_seconds`` gauges.  An idle
+  connection costs a couple of suspended coroutines, not a thread.
 * **Awaitable micro-batching.**  Requests land on an :class:`asyncio.Queue`;
   a batcher coroutine coalesces them under the same deadline + max-batch
-  admission control as :class:`~repro.serving.server.QueryServer` and
-  dispatches each batch to the engine through ``run_in_executor`` — CPU work
-  (numpy label merges, or the sharded engine's cross-process fan-out) never
-  blocks the loop, so accepts and reads keep flowing while a batch computes.
+  rule as the threaded worker and dispatches each batch to the engine in
+  one ``run_in_executor`` call — CPU work (numpy label merges, or the sharded
+  engine's cross-process fan-out) never blocks the loop, so accepts and
+  reads keep flowing while a batch computes.
 * **HTTP/1.1 admin plane.**  A second listener answers ``GET /metrics``
   (Prometheus text exposition — counters, gauges, latency/stage histograms
   and index-health gauges rendered from
@@ -42,7 +49,7 @@ all of them on a single event loop instead:
   coroutine pings the worker pool periodically; a broken pool is respawned
   by the engine and counted in the metrics.
 
-The front end accepts the same backends as the threaded server — a
+Both front ends accept the same backends — a
 :class:`~repro.serving.snapshot.SnapshotManager`, a bare
 :class:`~repro.serving.engine.BatchQueryEngine`, or a
 :class:`~repro.serving.sharded.ShardedQueryEngine` — and the same hot-pair
@@ -52,6 +59,7 @@ The front end accepts the same backends as the threaded server — a
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import cProfile
 import io
 import json
@@ -62,7 +70,8 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Tuple, Type, Union
 from urllib.parse import parse_qs
 
 import numpy as np
@@ -115,7 +124,7 @@ from repro.serving.protocol import (
 from repro.serving.snapshot import SnapshotManager
 from repro.serving.tracing import StructuredLogger, Trace, TraceRecorder
 
-__all__ = ["AsyncQueryFrontend"]
+__all__ = ["AsyncQueryFrontend", "LineCall", "QueryRequest", "ServingCore"]
 
 #: Hard cap on one ``/debug/profile`` capture, seconds.
 _MAX_PROFILE_SECONDS = 30.0
@@ -131,24 +140,37 @@ _HTTP_REASONS = {
 #: Admin-plane request bodies larger than this are rejected outright.
 _MAX_HTTP_BODY = 1 << 16
 
+_PLAIN_TEXT = "text/plain; charset=utf-8"
+_PROMETHEUS_TEXT = "text/plain; version=0.0.4; charset=utf-8"
 
-class _AsyncRequest:
-    """One admitted unit of work: aligned id arrays plus the future to resolve."""
+#: Client-attributable failures of a mutation line: no writable shadow behind
+#: the front end, out-of-range endpoints (GraphError, or IndexBuildError from
+#: the dynamic oracle).  Answered with an error line, never a dead session.
+_MUTATION_ERRORS = (ServingError, GraphError, IndexBuildError)
+
+#: Client-attributable failures of a query line: overload, a stopping front
+#: end, a bad id, or a wedged backend (a sharded worker timing out).  Genuine
+#: engine bugs still raise.
+_QUERY_ERRORS = (AdmissionError, ServingError, VertexError, TimeoutError)
+
+
+class QueryRequest:
+    """One admitted unit of work: aligned id arrays plus the future for its answer.
+
+    Threaded callers block in :meth:`wait` on a :class:`concurrent.futures.Future`;
+    the asyncio front end hands out only its :class:`asyncio.Future`.
+    """
 
     __slots__ = ("sources", "targets", "future", "created", "dequeued", "trace")
 
-    def __init__(
-        self,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        future: "asyncio.Future[np.ndarray]",
-    ) -> None:
+    def __init__(self, sources: np.ndarray, targets: np.ndarray, future: Any) -> None:
         self.sources = sources
         self.targets = targets
         self.future = future
+        #: Submission time; completion minus this is the client-observed latency.
         self.created = time.perf_counter()
-        #: Stamped by the batcher coroutine when it pulls the request off the
-        #: queue; ``dequeued - created`` is the queue-wait stage of the trace.
+        #: Stamped by the batcher when it pulls the request off the queue;
+        #: ``dequeued - created`` is the queue-wait stage of the trace.
         self.dequeued = self.created
         #: The request's open trace (``None`` when tracing is off).
         self.trace: Optional[Trace] = None
@@ -156,8 +178,515 @@ class _AsyncRequest:
     def __len__(self) -> int:
         return int(self.sources.shape[0])
 
+    @property
+    def done(self) -> bool:
+        """Whether the request has been completed (successfully or not)."""
+        return self.future.done()
 
-class AsyncQueryFrontend:
+    def wait(self, timeout: Optional[float] = None) -> np.ndarray:
+        """Block until the request completes; return distances or re-raise its error."""
+        try:
+            error = self.future.exception(timeout)
+        # Not the builtin TimeoutError before Python 3.11.
+        except concurrent.futures.TimeoutError:
+            raise TimeoutError("query request did not complete in time") from None
+        if error is not None:
+            raise error
+        return self.future.result()
+
+
+class LineCall(NamedTuple):
+    """A parsed protocol line the transport answers: run (or await) ``call()``,
+    reply ``render(value)``, or an error line for one of ``errors``."""
+
+    call: Callable[[], Any]
+    errors: Tuple[Type[BaseException], ...]
+    render: Callable[[Any], str]
+
+
+class ServingCore:
+    """The request pipeline both front ends share (see the module docstring).
+
+    Holds the backend, cache, metrics, tracer and admission counters.  The
+    transports subclass it and supply the concurrency: how admitted requests
+    are queued and coalesced, where :meth:`_evaluate_batch` and the other
+    blocking calls run, and how callers wait.  The blocking methods are safe
+    to call from any thread; :meth:`_finish_batch` runs wherever the
+    transport completes its futures.
+    """
+
+    # Supplied by each transport — blocking methods on the threaded server,
+    # coroutine functions on the asyncio front end — and run by the
+    # transport's line handler (see :meth:`_parse_line`).
+    distance: Callable[..., Any]
+    query_one_to_many: Callable[..., Any]
+    apply_mutation: Callable[..., Any]
+
+    def __init__(
+        self,
+        backend: Union[SnapshotManager, BatchQueryEngine],
+        *,
+        cache: Optional[LRUCache],
+        max_batch_size: int,
+        batch_timeout: float,
+        max_pending: int,
+        metrics: Optional[ServerMetrics],
+        tracer: Optional[TraceRecorder],
+        logger: Optional[StructuredLogger],
+    ) -> None:
+        self._backend = backend
+        self.cache = cache
+        self.tracer = tracer if tracer is not None else TraceRecorder()
+        self.logger = logger
+        self.max_batch_size = int(max_batch_size)
+        self.batch_timeout = float(batch_timeout)
+        self.max_pending = int(max_pending)
+        self.metrics = metrics if metrics is not None else ServerMetrics()
+        # Cached distances are only valid for one index version; batches
+        # clear the cache whenever the backing snapshot version changes.
+        manager = self.snapshot_manager
+        self._cache_version = manager.version if manager is not None else None
+        # Admitted pair requests not yet completed, and in-flight one-to-many
+        # fan-outs (which bypass the batcher); together they are held under
+        # max_pending.
+        self._admission_lock = threading.Lock()
+        self._pending = 0
+        self._fanout_pending = 0
+        self._running = False
+        # Admission flag, dropped *before* the shutdown drain so a client
+        # streaming queries cannot keep the drain from ever finishing.
+        self._accepting = False
+        # Optional observability attachments (owned by the caller, which
+        # starts/stops them): the health engine folds this front end's
+        # metrics snapshots into alert states; the shadow canary re-verifies
+        # sampled served batches against the scalar baseline.
+        self.health: Optional[HealthMonitor] = None
+        self.shadow: Optional[ShadowCanary] = None
+
+    @property
+    def running(self) -> bool:
+        """Whether the transport's batcher is active."""
+        return self._running
+
+    @property
+    def snapshot_manager(self) -> Optional[SnapshotManager]:
+        """The backing snapshot manager, when hot swap is enabled.
+
+        Found either directly (a manager backend) or through a sharded
+        engine that wraps one — mutations and cache invalidation work the
+        same way in both configurations.
+        """
+        if isinstance(self._backend, SnapshotManager):
+            return self._backend
+        return getattr(self._backend, "snapshot_manager", None)
+
+    def _current_engine(self) -> BatchQueryEngine:
+        if isinstance(self._backend, SnapshotManager):
+            return self._backend.current.engine
+        return self._backend
+
+    def _current_engine_and_invalidate(self) -> BatchQueryEngine:
+        """One snapshot grab per batch: engine and cache-invalidation version
+        always belong together, so a concurrent swap can never skew them.
+
+        With a sharded-engine backend the engine resolves the generation
+        itself per batch; the version check here only drives cache
+        invalidation (a publish landing between the check and the shard
+        dispatch is flushed on the next batch).
+        """
+        manager = self.snapshot_manager
+        if manager is None:
+            return self._backend
+        snapshot = manager.current
+        if self.cache is not None and snapshot.version != self._cache_version:
+            self.cache.clear()
+            self._cache_version = snapshot.version
+        if isinstance(self._backend, SnapshotManager):
+            return snapshot.engine
+        return self._backend
+
+    def _span_sink(self) -> Optional[list]:
+        """A fresh span list, or ``None`` when neither tracing nor stage
+        histograms want the data (the spans are then never built)."""
+        return [] if self.tracer.enabled or self.metrics.has_histograms else None
+
+    # ------------------------------------------------------------------ #
+    # Admission
+    # ------------------------------------------------------------------ #
+
+    def _reserve(self, *, fanout: bool = False) -> None:
+        """Take one admission slot: ServingError when not accepting (not
+        started, or draining), AdmissionError at ``max_pending``."""
+        if not self._accepting:
+            raise ServingError("server is not accepting requests; call start() first")
+        with self._admission_lock:
+            admitted = self._pending + self._fanout_pending < self.max_pending
+            if admitted and fanout:
+                self._fanout_pending += 1
+            elif admitted:
+                self._pending += 1
+        if not admitted:
+            self.metrics.observe_rejection()
+            raise AdmissionError(
+                f"request rejected: {self.max_pending} requests already pending"
+            )
+
+    def _queue_depth(self) -> int:
+        """Admitted requests not yet answered: pending pairs plus fan-outs."""
+        with self._admission_lock:
+            return self._pending + self._fanout_pending
+
+    def _admit(
+        self, sources: Sequence[int], targets: Sequence[int], new_future: Callable[[], Any]
+    ) -> QueryRequest:
+        """Validate and admit one pair request; the transport enqueues it.
+
+        Lengths and vertex ids are checked here, at submission, so one
+        malformed request can never fail the unrelated requests it would
+        have been batched with.
+        """
+        source_array = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+        target_array = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+        if source_array.shape != target_array.shape:
+            raise ValueError("sources and targets must have the same length")
+        num_vertices = self._current_engine().num_vertices
+        validate_vertex_ids(source_array, num_vertices)
+        validate_vertex_ids(target_array, num_vertices)
+        self._reserve()
+        request = QueryRequest(source_array, target_array, new_future())
+        # Trace id minted at admission: the request is correlatable from the
+        # moment it exists, before it ever touches the batching queue.
+        request.trace = self.tracer.start(len(request))
+        return request
+
+    # ------------------------------------------------------------------ #
+    # Batches
+    # ------------------------------------------------------------------ #
+
+    def _evaluate_batch(self, batch: list, batch_spans: Optional[list]) -> tuple:
+        """Answer a coalesced batch with one cache-fronted engine call (blocking).
+
+        Returns ``(joint, outcomes)``: each request's distances or exception,
+        and ``(engine, sources, targets, distances)`` of the shared call.  If
+        that call raises, each request is retried alone (``joint`` is then
+        ``None``), so one poisoned request — e.g. ids stale after a hot swap
+        to a smaller index — cannot fail the requests it was coalesced with.
+        """
+        try:
+            engine = self._current_engine_and_invalidate()
+            sources = np.concatenate([request.sources for request in batch])
+            targets = np.concatenate([request.targets for request in batch])
+            distances = cached_query_batch(
+                engine, self.cache, sources, targets, span_sink=batch_spans
+            )
+        except Exception:
+            outcomes: list = []
+            for request in batch:
+                try:
+                    outcomes.append(
+                        cached_query_batch(
+                            self._current_engine_and_invalidate(),
+                            self.cache,
+                            request.sources,
+                            request.targets,
+                        )
+                    )
+                except Exception as exc:
+                    outcomes.append(exc)
+            return None, outcomes
+        outcomes = []
+        offset = 0
+        for request in batch:
+            outcomes.append(distances[offset: offset + len(request)])
+            offset += len(request)
+        return (engine, sources, targets, distances), outcomes
+
+    @staticmethod
+    def _complete(request: QueryRequest, result: np.ndarray) -> None:
+        # A done future means the awaiting client vanished (a closed
+        # connection cancels the await, which cancels the future): drop it.
+        if not request.future.done():
+            request.future.set_result(result)
+
+    @staticmethod
+    def _fail(request: QueryRequest, error: BaseException) -> None:
+        if not request.future.done():
+            request.future.set_exception(error)
+
+    def _finish_batch(
+        self, batch: list, joint, outcomes: list, batch_spans: Optional[list], start: float
+    ) -> None:
+        """Release, complete and account for an evaluated batch (on the
+        threaded worker, or on the loop for asyncio futures)."""
+        eval_done = time.perf_counter()
+        # Released before completion: a woken client may resubmit at once.
+        with self._admission_lock:
+            self._pending -= len(batch)
+        succeeded = []
+        for request, outcome in zip(batch, outcomes):
+            if isinstance(outcome, BaseException):
+                self._fail(request, outcome)
+                self.metrics.observe_error()
+                self.tracer.record(
+                    request.trace, time.perf_counter() - request.created, status="error"
+                )
+            else:
+                self._complete(request, outcome)
+                succeeded.append(request)
+        completed = time.perf_counter()
+        if succeeded:
+            num_pairs = sum(len(request) for request in succeeded)
+            self.metrics.observe_batch(
+                num_pairs,
+                len(succeeded),
+                completed - start,
+                request_latencies=[completed - request.created for request in succeeded],
+            )
+            self._count_pair_queries(num_pairs)
+        if joint is None:
+            for request in succeeded:
+                self.tracer.record(
+                    request.trace, completed - request.created, status="retried"
+                )
+            return
+        shadow = self.shadow
+        if shadow is not None:
+            # After the requests completed: sampling must never sit between
+            # the kernel and the reply.  The canary copies the arrays.
+            shadow.maybe_submit(*joint)
+        if batch_spans is not None:
+            self._trace_batch(batch, batch_spans, start, eval_done, completed)
+
+    def _trace_batch(
+        self, batch: list, batch_spans: list, start: float, eval_done: float, completed: float
+    ) -> None:
+        """Stitch the batch-shared spans into every request trace and file them.
+
+        Each request gets its own ``queue``/``batch``/``reply`` spans (those
+        durations differ per request) plus the *shared* cache-probe and
+        kernel/shard span objects — every request in the batch rode the same
+        engine call, so they share those spans by construction.  The same
+        stage durations feed the per-stage histograms in one call.
+        """
+        num_pairs = sum(len(request) for request in batch)
+        reply_seconds = completed - eval_done
+        stage_queue = []
+        stage_batch = []
+        for request in batch:
+            queue_wait = max(request.dequeued - request.created, 0.0)
+            coalesce = max(start - request.dequeued, 0.0)
+            stage_queue.append(queue_wait)
+            stage_batch.append(coalesce)
+            trace = request.trace
+            if trace is not None:
+                trace.add_span("queue", queue_wait)
+                trace.add_span(
+                    "batch",
+                    coalesce,
+                    batch_pairs=num_pairs,
+                    batch_requests=len(batch),
+                )
+                trace.extend(batch_spans)
+                trace.add_span("reply", reply_seconds)
+                self.tracer.record(trace, completed - request.created)
+        if self.metrics.has_histograms:
+            stages = {"queue": stage_queue, "batch": stage_batch}
+            kernel_seconds = [
+                span.seconds for span in batch_spans if span.name in ("kernel", "shard")
+            ]
+            probe_seconds = [
+                span.seconds for span in batch_spans if span.name == "cache_probe"
+            ]
+            if kernel_seconds:
+                stages["kernel"] = kernel_seconds
+            if probe_seconds:
+                stages["cache_probe"] = probe_seconds
+            self.metrics.observe_stages(stages)
+
+    def _count_pair_queries(self, num_pairs: int) -> None:
+        """Stamp per-verb and per-kernel-op counters for one pair batch."""
+        self.metrics.observe_verb(VERB_PAIR, num_pairs)
+        self.metrics.observe_kernel_op(
+            getattr(self._current_engine(), "kernel_name", "unknown"),
+            "query_pairs",
+            num_pairs,
+        )
+
+    # ------------------------------------------------------------------ #
+    # One-to-many fan-outs
+    # ------------------------------------------------------------------ #
+
+    def _query_one_to_many(
+        self, source: int, targets: Optional[Sequence[int]]
+    ) -> np.ndarray:
+        """Run one admitted fan-out (blocking) and release its admission slot.
+
+        One fan-out amortises its own kernel call, so it bypasses the pair
+        batcher; it is traced, histogrammed and counted like a one-request
+        batch, labelled with the ``one_to_many`` verb.
+        """
+        try:
+            start = time.perf_counter()
+            spans = self._span_sink()
+            engine = self._current_engine_and_invalidate()
+            trace = self.tracer.start(
+                len(targets) if targets is not None else engine.num_vertices
+            )
+            try:
+                distances = engine.query_one_to_many(source, targets, span_sink=spans)
+            except Exception:
+                self.metrics.observe_error()
+                self.tracer.record(trace, time.perf_counter() - start, status="error")
+                raise
+        finally:
+            with self._admission_lock:
+                self._fanout_pending -= 1
+        elapsed = time.perf_counter() - start
+        num_pairs = int(distances.shape[0])
+        self.metrics.observe_batch(num_pairs, 1, elapsed, request_latencies=[elapsed])
+        self.metrics.observe_verb(VERB_ONE_TO_MANY, num_pairs)
+        self.metrics.observe_kernel_op(
+            getattr(engine, "kernel_name", "unknown"), "query_one_to_many", num_pairs
+        )
+        if spans:
+            if trace is not None:
+                trace.extend(spans)
+                self.tracer.record(trace, elapsed)
+            kernel_seconds = [span.seconds for span in spans if span.name == "kernel"]
+            if self.metrics.has_histograms and kernel_seconds:
+                self.metrics.observe_stages({"kernel": kernel_seconds})
+        return distances
+
+    # ------------------------------------------------------------------ #
+    # Mutations (hot-swap write path)
+    # ------------------------------------------------------------------ #
+
+    def _require_manager(self) -> SnapshotManager:
+        manager = self.snapshot_manager
+        if manager is None:
+            raise ServingError(
+                "mutations require a snapshot-manager backend; this server "
+                "wraps a bare engine"
+            )
+        return manager
+
+    def _publish(self):
+        """Publish pending mutations as a new snapshot (blocking); returns it."""
+        snapshot = self._require_manager().publish()
+        if self.logger is not None:
+            self.logger.event(
+                "snapshot_publish", version=snapshot.version, source=snapshot.source
+            )
+        return snapshot
+
+    def _apply_mutation(self, op: str, endpoints: Optional[Tuple[int, int]] = None) -> str:
+        """Apply one parsed mutation (``add`` / ``remove`` / ``publish``), blocking.
+
+        The one dispatch behind the live protocol's mutation lines on both
+        front ends and ``--mutations`` file replay.  Returns the one-line
+        acknowledgement.
+        """
+        if op == OP_PUBLISH:
+            return format_publish_ack(self._publish().version)
+        manager = self._require_manager()
+        if endpoints is None:
+            raise ValueError(f"mutation {op!r} requires edge endpoints")
+        a, b = endpoints
+        if op == OP_ADD:
+            manager.insert_edge(a, b)
+        elif op == OP_REMOVE:
+            manager.remove_edge(a, b)
+        else:
+            raise ValueError(f"unknown mutation {op!r}")
+        return format_mutation_ack(op, a, b, manager.pending_updates)
+
+    # ------------------------------------------------------------------ #
+    # Metrics, traces, alerts
+    # ------------------------------------------------------------------ #
+
+    def metrics_snapshot(self) -> dict:
+        """Serving statistics: counters, latency, cache, snapshot version and
+        queue depth, the index-health gauges (label entries, vertices,
+        bit-parallel roots, dirty vertices, generation identity/bytes, kernel
+        selection) and — when a health monitor / shadow canary is attached —
+        the alert gauges, active alerts and shadow-canary counters.  One
+        dictionary feeds every rendering."""
+        manager = self.snapshot_manager
+        stats = self.metrics.snapshot(
+            cache_stats=self.cache.stats if self.cache is not None else None,
+            snapshot_version=manager.version if manager is not None else None,
+            queue_depth=self._queue_depth(),
+        )
+        try:
+            stats.update(index_health_stats(self._current_engine(), manager))
+        except Exception:
+            # Health introspection is best effort: a backend mid-teardown
+            # (closed sharded engine) must not take the metrics down with it.
+            pass
+        return augment_snapshot(stats, health=self.health, shadow=self.shadow)
+
+    def metrics_json(self) -> str:
+        """Single-line JSON metrics (the ``stats json`` wire reply)."""
+        return json.dumps(self.metrics_snapshot(), sort_keys=True)
+
+    def traces_json(self, *, limit: Optional[int] = 32) -> str:
+        """JSON trace dump (``GET /traces`` body and the ``TRACES`` wire reply)."""
+        return json.dumps(self.tracer.snapshot(limit=limit), sort_keys=True)
+
+    def alerts_json(self) -> str:
+        """JSON alert payload (``GET /alerts`` body and the ``ALERTS`` reply)."""
+        return alerts_wire_reply(self.health)
+
+    # ------------------------------------------------------------------ #
+    # Line protocol
+    # ------------------------------------------------------------------ #
+
+    def _parse_line(self, line: str) -> Union[None, str, LineCall]:
+        """Parse one protocol line: ``None`` ends the session; a string is the
+        finished reply; a :class:`LineCall` goes to the transport's own
+        ``apply_mutation`` / ``query_one_to_many`` / ``distance``."""
+        stripped = line.strip()
+        if not stripped:
+            return ""
+        command = normalize_command(stripped)
+        if command in QUIT_COMMANDS:
+            return None
+        if command in STATS_COMMANDS:
+            return self.metrics_json()
+        if command == TRACES_COMMAND:
+            return self.traces_json()
+        if command == ALERTS_COMMAND:
+            return self.alerts_json()
+        if is_mutation(stripped):
+            try:
+                op, endpoints = parse_mutation(stripped)
+            except ValueError as exc:
+                return format_parse_error("mutation", stripped, exc)
+            return LineCall(
+                partial(self.apply_mutation, op, endpoints), _MUTATION_ERRORS, str
+            )
+        if is_one_to_many(stripped):
+            try:
+                source, targets = parse_one_to_many(stripped)
+            except ValueError as exc:
+                return format_parse_error("query", stripped, exc)
+            return LineCall(
+                partial(self.query_one_to_many, source, targets),
+                _QUERY_ERRORS,
+                partial(format_one_to_many_reply, source, targets),
+            )
+        try:
+            s, t = parse_pair(stripped)
+        except ValueError as exc:
+            return format_parse_error("query", stripped, exc)
+        return LineCall(
+            partial(self.distance, s, t),
+            _QUERY_ERRORS,
+            partial(format_distance_line, s, t),
+        )
+
+
+class AsyncQueryFrontend(ServingCore):
     """Event-loop front end: micro-batched queries, admin plane, graceful drain.
 
     Parameters
@@ -218,25 +747,19 @@ class AsyncQueryFrontend:
         tracer: Optional[TraceRecorder] = None,
         logger: Optional[StructuredLogger] = None,
     ) -> None:
-        self._backend = backend
-        self.cache = cache
-        self.tracer = tracer if tracer is not None else TraceRecorder()
-        self.logger = logger
-        self.max_batch_size = int(max_batch_size)
-        self.batch_timeout = float(batch_timeout)
-        self.max_pending = int(max_pending)
-        self.metrics = metrics if metrics is not None else ServerMetrics()
-        #: Optional caller-owned attachments (the CLI wires them): a
-        #: background health engine and the shadow correctness canary.
-        #: Their stats/alerts fold into every metrics snapshot when set.
-        self.health: Optional[HealthMonitor] = None
-        self.shadow: Optional[ShadowCanary] = None
-        manager = self.snapshot_manager
-        self._cache_version = manager.version if manager is not None else None
+        super().__init__(
+            backend,
+            cache=cache,
+            max_batch_size=max_batch_size,
+            batch_timeout=batch_timeout,
+            max_pending=max_pending,
+            metrics=metrics,
+            tracer=tracer,
+            logger=logger,
+        )
         self._health_check_interval = health_check_interval
-
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queue: Optional["asyncio.Queue[Optional[_AsyncRequest]]"] = None
+        self._queue: Optional["asyncio.Queue[Optional[QueryRequest]]"] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._batcher_task: Optional[asyncio.Task] = None
         self._health_task: Optional[asyncio.Task] = None
@@ -252,28 +775,12 @@ class AsyncQueryFrontend:
         self._http_server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
         self._admin_connections: set = set()
-        #: Requests admitted but not yet completed (the qsize analogue).
-        self._pending = 0
-        self._accepting = False
-        self._running = False
         #: One /debug/profile capture at a time (cProfile is process-global).
         self._profiling = False
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-
-    @property
-    def snapshot_manager(self) -> Optional[SnapshotManager]:
-        """The backing snapshot manager, when hot swap is enabled."""
-        if isinstance(self._backend, SnapshotManager):
-            return self._backend
-        return getattr(self._backend, "snapshot_manager", None)
-
-    @property
-    def running(self) -> bool:
-        """Whether the batcher loop is active."""
-        return self._running
 
     @property
     def num_connections(self) -> int:
@@ -298,70 +805,21 @@ class AsyncQueryFrontend:
         """Bound ``(host, port)`` of the HTTP admin listener (if started)."""
         return self._listener_address(self._http_server)
 
-    def _current_engine(self) -> BatchQueryEngine:
-        if isinstance(self._backend, SnapshotManager):
-            return self._backend.current.engine
-        return self._backend
-
-    def _current_engine_and_invalidate(self) -> BatchQueryEngine:
-        """One snapshot grab per batch, with cache invalidation on version change."""
-        manager = self.snapshot_manager
-        if manager is None:
-            return self._backend
-        snapshot = manager.current
-        if self.cache is not None and snapshot.version != self._cache_version:
-            self.cache.clear()
-            self._cache_version = snapshot.version
-        if isinstance(self._backend, SnapshotManager):
-            return snapshot.engine
-        return self._backend
-
     # ------------------------------------------------------------------ #
     # Metrics
     # ------------------------------------------------------------------ #
 
-    def _metrics_kwargs(self) -> dict:
-        manager = self.snapshot_manager
-        return dict(
-            cache_stats=self.cache.stats if self.cache is not None else None,
-            snapshot_version=manager.version if manager is not None else None,
-            queue_depth=self._pending,
-        )
-
     def metrics_snapshot(self) -> dict:
-        """Serving statistics including cache, snapshot version, queue depth,
-        the open-connection count, the index-health gauges (label entries,
-        bit-parallel roots, dirty vertices, generation identity/bytes) and —
-        when a health monitor / shadow canary is attached — the alert gauges,
-        active alerts and shadow-canary counters."""
-        stats = self.metrics.snapshot(**self._metrics_kwargs())
+        """The shared snapshot plus this transport's open-connection count
+        and event-loop lag gauges."""
+        stats = super().metrics_snapshot()
         stats["num_connections"] = self.num_connections
         stats["event_loop_lag_seconds"] = self._loop_lag
-        try:
-            stats.update(
-                index_health_stats(self._current_engine(), self.snapshot_manager)
-            )
-        except Exception:
-            # Health introspection is best effort: a backend mid-teardown
-            # (closed sharded engine) must not take /metrics down with it.
-            pass
-        return augment_snapshot(stats, health=self.health, shadow=self.shadow)
-
-    def metrics_json(self) -> str:
-        """Single-line JSON metrics (the ``stats json`` wire reply)."""
-        return json.dumps(self.metrics_snapshot(), sort_keys=True)
+        return stats
 
     def metrics_prometheus(self) -> str:
         """Prometheus text exposition of the current metrics (``GET /metrics``)."""
         return render_prometheus_text(self.metrics_snapshot())
-
-    def traces_json(self, *, limit: Optional[int] = 32) -> str:
-        """JSON trace dump (``GET /traces`` body and the ``TRACES`` wire reply)."""
-        return json.dumps(self.tracer.snapshot(limit=limit), sort_keys=True)
-
-    def alerts_json(self) -> str:
-        """JSON alert payload (``GET /alerts`` body and the ``ALERTS`` reply)."""
-        return alerts_wire_reply(self.health)
 
     def diagnostics_bundle(self) -> dict:
         """One-shot diagnostics archive (``GET /debug/bundle``).
@@ -461,20 +919,14 @@ class AsyncQueryFrontend:
             except Exception:  # pragma: no cover - timeout or platform teardown
                 pass
         self._servers.clear()
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-            self._health_task = None
-        if self._lag_task is not None:
-            self._lag_task.cancel()
-            try:
-                await self._lag_task
-            except asyncio.CancelledError:
-                pass
-            self._lag_task = None
+        for task in (self._health_task, self._lag_task):
+            if task is not None:
+                task.cancel()
+                try:
+                    await task
+                except asyncio.CancelledError:
+                    pass
+        self._health_task = self._lag_task = None
         # Every request admitted before the flag flipped completes here...
         await self._queue.join()
         self._queue.put_nowait(None)
@@ -602,32 +1054,13 @@ class AsyncQueryFrontend:
         ServingError
             When the front end is not started or is draining.
         VertexError
-            When a vertex id is out of range — validated at submission so one
-            malformed request cannot fail the batch it would have joined.
+            When a vertex id is out of range.
+        ValueError
+            When ``sources`` and ``targets`` differ in length.
         """
-        if not self._accepting:
-            raise ServingError(
-                "front end is not accepting requests; call start() first"
-            )
-        if self._pending >= self.max_pending:
-            self.metrics.observe_rejection()
-            raise AdmissionError(
-                f"request rejected: {self.max_pending} requests already pending"
-            )
-        source_array = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        target_array = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-        if source_array.shape != target_array.shape:
-            raise ValueError("sources and targets must have the same length")
-        num_vertices = self._current_engine().num_vertices
-        validate_vertex_ids(source_array, num_vertices)
-        validate_vertex_ids(target_array, num_vertices)
-        future: "asyncio.Future[np.ndarray]" = self._loop.create_future()
-        self._pending += 1
-        request = _AsyncRequest(source_array, target_array, future)
-        # Trace id minted at admission, before the request touches the queue.
-        request.trace = self.tracer.start(len(request))
+        request = self._admit(sources, targets, lambda: self._loop.create_future())
         self._queue.put_nowait(request)
-        return future
+        return request.future
 
     async def query_batch(
         self, sources: Sequence[int], targets: Sequence[int]
@@ -645,110 +1078,30 @@ class AsyncQueryFrontend:
         """Distances from ``source`` to ``targets`` (all vertices when ``None``).
 
         Runs the engine fan-out on the executor (one kernel call, off the
-        loop) rather than through the pair batcher — same dispatch decision
-        as the threaded server's ``query_one_to_many``, same verb metrics.
-        Fan-outs still count against ``max_pending`` while in flight, so a
-        flood of ``many`` lines meets the same admission gate as point
-        queries instead of bypassing overload protection.
+        loop) rather than through the pair batcher.  Admission happens
+        before the first suspension point, so a flood of ``many`` lines
+        meets the same ``max_pending`` gate as point queries.
         """
-        if not self._accepting:
-            raise ServingError(
-                "front end is not accepting requests; call start() first"
-            )
-        # Same synchronous check-then-increment as submit(): no suspension
-        # point in between, so concurrent coroutines see a consistent count.
-        if self._pending >= self.max_pending:
-            self.metrics.observe_rejection()
-            raise AdmissionError(
-                f"request rejected: {self.max_pending} requests already pending"
-            )
-        self._pending += 1
-        try:
-            start = time.perf_counter()
-            want_spans = self.tracer.enabled or self.metrics.has_histograms
-            spans: Optional[list] = [] if want_spans else None
-            engine = self._current_engine_and_invalidate()
-            trace = self.tracer.start(
-                len(targets) if targets is not None else engine.num_vertices
-            )
-
-            def _run() -> np.ndarray:
-                return engine.query_one_to_many(source, targets, span_sink=spans)
-
-            try:
-                distances = await self._loop.run_in_executor(self._executor, _run)
-            except Exception:
-                self.metrics.observe_error()
-                self.tracer.record(trace, time.perf_counter() - start, status="error")
-                raise
-        finally:
-            self._pending -= 1
-        elapsed = time.perf_counter() - start
-        num_pairs = int(distances.shape[0])
-        self.metrics.observe_batch(num_pairs, 1, elapsed, request_latencies=[elapsed])
-        self.metrics.observe_verb(VERB_ONE_TO_MANY, num_pairs)
-        self.metrics.observe_kernel_op(
-            getattr(engine, "kernel_name", "unknown"), "query_one_to_many", num_pairs
+        self._reserve(fanout=True)
+        return await self._loop.run_in_executor(
+            self._executor, self._query_one_to_many, source, targets
         )
-        if spans:
-            if trace is not None:
-                trace.extend(spans)
-                self.tracer.record(trace, elapsed)
-            kernel_seconds = [span.seconds for span in spans if span.name == "kernel"]
-            if self.metrics.has_histograms and kernel_seconds:
-                self.metrics.observe_stages({"kernel": kernel_seconds})
-        return distances
 
     async def publish(self):
         """Publish pending mutations as a new snapshot (off-loop); returns it."""
-        manager = self._require_manager()
-        snapshot = await self._loop.run_in_executor(self._executor, manager.publish)
-        if self.logger is not None:
-            self.logger.event(
-                "snapshot_publish", version=snapshot.version, source=snapshot.source
-            )
-        return snapshot
-
-    def _require_manager(self) -> SnapshotManager:
-        manager = self.snapshot_manager
-        if manager is None:
-            raise ServingError(
-                "mutations require a snapshot-manager backend; this front "
-                "end wraps a bare engine"
-            )
-        return manager
+        return await self._loop.run_in_executor(self._executor, self._publish)
 
     async def apply_mutation(
         self, op: str, endpoints: Optional[Tuple[int, int]] = None
     ) -> str:
         """Apply one parsed mutation (``add`` / ``remove`` / ``publish``).
 
-        Same vocabulary and acknowledgement lines as
-        :meth:`~repro.serving.server.QueryServer.apply_mutation`; the work
-        runs on the executor so a slow publish never stalls the loop.
+        The shared core's dispatch and acknowledgement lines; the work runs
+        on the executor so a slow publish never stalls the loop.
         """
-        manager = self._require_manager()
         return await self._loop.run_in_executor(
-            self._executor, self._apply_mutation_sync, manager, op, endpoints
+            self._executor, self._apply_mutation, op, endpoints
         )
-
-    @staticmethod
-    def _apply_mutation_sync(
-        manager: SnapshotManager, op: str, endpoints: Optional[Tuple[int, int]]
-    ) -> str:
-        if op == OP_PUBLISH:
-            snapshot = manager.publish()
-            return format_publish_ack(snapshot.version)
-        if endpoints is None:
-            raise ValueError(f"mutation {op!r} requires edge endpoints")
-        a, b = endpoints
-        if op == OP_ADD:
-            manager.insert_edge(a, b)
-        elif op == OP_REMOVE:
-            manager.remove_edge(a, b)
-        else:
-            raise ValueError(f"unknown mutation {op!r}")
-        return format_mutation_ack(op, a, b, manager.pending_updates)
 
     # ------------------------------------------------------------------ #
     # Batcher
@@ -785,168 +1138,19 @@ class AsyncQueryFrontend:
             if stopping:
                 return
 
-    def _evaluate_sync(
-        self,
-        engine: BatchQueryEngine,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        span_sink=None,
-    ) -> np.ndarray:
-        """Cache-fronted engine evaluation; runs on the executor thread."""
-        return cached_query_batch(
-            engine, self.cache, sources, targets, span_sink=span_sink
-        )
-
-    @staticmethod
-    def _complete(request: _AsyncRequest, result: np.ndarray) -> None:
-        # The future is done when the awaiting client vanished (connection
-        # closed cancels the await, which cancels the future) — drop silently.
-        if not request.future.done():
-            request.future.set_result(result)
-
-    @staticmethod
-    def _fail(request: _AsyncRequest, error: BaseException) -> None:
-        if not request.future.done():
-            request.future.set_exception(error)
-
-    def _trace_batch(
-        self, batch, batch_spans, start: float, eval_done: float, completed: float
-    ) -> None:
-        """Stitch batch-shared spans into every request trace; feed histograms.
-
-        Mirrors :meth:`QueryServer._trace_batch`: per-request ``queue`` /
-        ``batch`` / ``reply`` spans plus the shared cache-probe and
-        kernel/shard spans from the engine dispatch.
-        """
-        num_pairs = sum(len(request) for request in batch)
-        reply_seconds = completed - eval_done
-        stage_queue = []
-        stage_batch = []
-        for request in batch:
-            queue_wait = max(request.dequeued - request.created, 0.0)
-            coalesce = max(start - request.dequeued, 0.0)
-            stage_queue.append(queue_wait)
-            stage_batch.append(coalesce)
-            trace = request.trace
-            if trace is not None:
-                trace.add_span("queue", queue_wait)
-                trace.add_span(
-                    "batch",
-                    coalesce,
-                    batch_pairs=num_pairs,
-                    batch_requests=len(batch),
-                )
-                trace.extend(batch_spans)
-                trace.add_span("reply", reply_seconds)
-                self.tracer.record(trace, completed - request.created)
-        if self.metrics.has_histograms:
-            stages = {"queue": stage_queue, "batch": stage_batch}
-            kernel_seconds = [
-                span.seconds for span in batch_spans if span.name in ("kernel", "shard")
-            ]
-            probe_seconds = [
-                span.seconds for span in batch_spans if span.name == "cache_probe"
-            ]
-            if kernel_seconds:
-                stages["kernel"] = kernel_seconds
-            if probe_seconds:
-                stages["cache_probe"] = probe_seconds
-            self.metrics.observe_stages(stages)
-
-    async def _process_batch(self, batch) -> None:
+    async def _process_batch(self, batch: list) -> None:
         start = time.perf_counter()
-        # Shared span list for the whole batch (see QueryServer._process_batch);
-        # the executor thread appends to it, but only before the await
-        # completes, so the loop-side read below never races it.
-        want_spans = self.tracer.enabled or self.metrics.has_histograms
-        batch_spans = [] if want_spans else None
+        # The executor thread appends to the span list only before the await
+        # completes, so the loop-side read in _finish_batch never races it.
+        batch_spans = self._span_sink()
         try:
-            engine = self._current_engine_and_invalidate()
-            sources = np.concatenate([request.sources for request in batch])
-            targets = np.concatenate([request.targets for request in batch])
-            distances = await self._loop.run_in_executor(
-                self._executor,
-                self._evaluate_sync,
-                engine,
-                sources,
-                targets,
-                batch_spans,
+            joint, outcomes = await self._loop.run_in_executor(
+                self._executor, self._evaluate_batch, batch, batch_spans
             )
-        except Exception:
-            # Retry each request alone so one poisoned or oversized request
-            # (e.g. ids stale after a hot swap to a smaller index) cannot
-            # fail the unrelated requests it was coalesced with.
-            succeeded = []
-            for request in batch:
-                try:
-                    result = await self._loop.run_in_executor(
-                        self._executor,
-                        self._evaluate_sync,
-                        self._current_engine_and_invalidate(),
-                        request.sources,
-                        request.targets,
-                    )
-                except Exception as single_exc:
-                    self._fail(request, single_exc)
-                    self.metrics.observe_error()
-                    self.tracer.record(
-                        request.trace,
-                        time.perf_counter() - request.created,
-                        status="error",
-                    )
-                else:
-                    self._complete(request, result)
-                    succeeded.append(request)
-            if succeeded:
-                completed = time.perf_counter()
-                num_pairs = sum(len(request) for request in succeeded)
-                self.metrics.observe_batch(
-                    num_pairs,
-                    len(succeeded),
-                    completed - start,
-                    request_latencies=[
-                        completed - request.created for request in succeeded
-                    ],
-                )
-                self._count_pair_queries(num_pairs)
-                for request in succeeded:
-                    self.tracer.record(
-                        request.trace, completed - request.created, status="retried"
-                    )
-            return
+            self._finish_batch(batch, joint, outcomes, batch_spans, start)
         finally:
             for _ in batch:
                 self._queue.task_done()
-            self._pending -= len(batch)
-        eval_done = time.perf_counter()
-        offset = 0
-        for request in batch:
-            self._complete(request, distances[offset: offset + len(request)])
-            offset += len(request)
-        completed = time.perf_counter()
-        self.metrics.observe_batch(
-            int(sources.shape[0]),
-            len(batch),
-            completed - start,
-            request_latencies=[completed - request.created for request in batch],
-        )
-        self._count_pair_queries(int(sources.shape[0]))
-        shadow = self.shadow
-        if shadow is not None:
-            # After completion so sampling never sits between kernel and
-            # reply; the canary copies the arrays before enqueueing.
-            shadow.maybe_submit(engine, sources, targets, distances)
-        if want_spans:
-            self._trace_batch(batch, batch_spans, start, eval_done, completed)
-
-    def _count_pair_queries(self, num_pairs: int) -> None:
-        """Stamp per-verb and per-kernel-op counters for one pair batch."""
-        self.metrics.observe_verb(VERB_PAIR, num_pairs)
-        self.metrics.observe_kernel_op(
-            getattr(self._current_engine(), "kernel_name", "unknown"),
-            "query_pairs",
-            num_pairs,
-        )
 
     async def _lag_loop(self) -> None:
         """Sample event-loop scheduling lag: how late a timed sleep wakes up.
@@ -984,54 +1188,15 @@ class AsyncQueryFrontend:
     # ------------------------------------------------------------------ #
 
     async def _handle_line(self, line: str) -> Optional[str]:
-        """Evaluate one protocol line; ``None`` ends the session.
-
-        The command surface and every reply format match the threaded
-        server's ``_handle_line`` exactly.
-        """
-        stripped = line.strip()
-        if not stripped:
-            return ""
-        command = normalize_command(stripped)
-        if command in QUIT_COMMANDS:
-            return None
-        if command in STATS_COMMANDS:
-            return self.metrics_json()
-        if command == TRACES_COMMAND:
-            return self.traces_json()
-        if command == ALERTS_COMMAND:
-            return self.alerts_json()
-        if is_mutation(stripped):
-            try:
-                op, endpoints = parse_mutation(stripped)
-            except ValueError as exc:
-                return format_parse_error("mutation", stripped, exc)
-            try:
-                return await self.apply_mutation(op, endpoints)
-            except (ServingError, GraphError, IndexBuildError) as exc:
-                return format_error(exc)
-        if is_one_to_many(stripped):
-            try:
-                source, targets = parse_one_to_many(stripped)
-            except ValueError as exc:
-                return format_parse_error("query", stripped, exc)
-            try:
-                distances = await self.query_one_to_many(source, targets)
-            except (AdmissionError, ServingError, VertexError, TimeoutError) as exc:
-                return format_error(exc)
-            return format_one_to_many_reply(source, targets, distances)
+        """Evaluate one protocol line; ``None`` ends the session."""
+        step = self._parse_line(line)
+        if not isinstance(step, LineCall):
+            return step
         try:
-            s, t = parse_pair(stripped)
-        except ValueError as exc:
-            return format_parse_error("query", stripped, exc)
-        try:
-            distance = float((await self.submit([s], [t]))[0])
-        # Same client-attributable tuple as the threaded server's handler:
-        # TimeoutError covers a wedged sharded worker surfacing through the
-        # batch retry — answer an error line, never kill the session.
-        except (AdmissionError, ServingError, VertexError, TimeoutError) as exc:
+            value = await step.call()
+        except step.errors as exc:
             return format_error(exc)
-        return format_distance_line(s, t, distance)
+        return step.render(value)
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -1167,179 +1332,96 @@ class AsyncQueryFrontend:
             sections.append(f"--- thread {ident} ({name}) ---\n{stack}")
         return "\n".join(sections) or "no threads\n"
 
-    async def _debug_profile_text(self, seconds: float) -> str:
-        """Profile the event-loop thread for ``seconds`` (``GET /debug/profile``).
+    async def _dispatch_http(
+        self, writer: asyncio.StreamWriter, method: str, path: str, query: str = ""
+    ) -> None:
+        routes = {
+            "/metrics": ("GET", self._http_metrics),
+            "/healthz": ("GET", self._http_healthz),
+            "/publish": ("POST", self._http_publish),
+            "/alerts": ("GET", self._http_alerts),
+            "/traces": ("GET", self._http_traces),
+            "/debug/threads": ("GET", self._http_threads),
+            "/debug/profile": ("GET", self._http_profile),
+            "/debug/bundle": ("GET", self._http_bundle),
+        }
+        if path not in routes:
+            body = {"error": f"unknown path {path!r}", "paths": list(routes)}
+            await self._http_respond(writer, 404, json.dumps(body))
+            return
+        allowed, handler = routes[path]
+        if method != allowed:
+            await self._http_respond(writer, 405, json.dumps({"error": f"use {allowed}"}))
+            return
+        await self._http_respond(writer, *await handler(parse_qs(query)))
+
+    # Each handler takes the parsed query string and returns the response
+    # ``(status, body[, content_type])``.
+
+    async def _http_metrics(self, params: dict) -> tuple:
+        return 200, self.metrics_prometheus(), _PROMETHEUS_TEXT
+
+    async def _http_healthz(self, params: dict) -> tuple:
+        manager = self.snapshot_manager
+        payload = {
+            "status": "ok" if self._accepting else "draining",
+            "snapshot_version": manager.version if manager is not None else None,
+            "connections": self.num_connections,
+            "queue_depth": self._queue_depth(),
+        }
+        return 200, json.dumps(payload, sort_keys=True)
+
+    async def _http_publish(self, params: dict) -> tuple:
+        try:
+            snapshot = await self.publish()
+        except _MUTATION_ERRORS as exc:
+            return 409, json.dumps({"error": str(exc)})
+        payload = {"published": True, "version": snapshot.version}
+        return 200, json.dumps(payload, sort_keys=True)
+
+    async def _http_alerts(self, params: dict) -> tuple:
+        return 200, self.alerts_json()
+
+    async def _http_traces(self, params: dict) -> tuple:
+        try:
+            limit = int(params["limit"][0]) if "limit" in params else 32
+        except (ValueError, IndexError):
+            limit = 32
+        return 200, self.traces_json(limit=limit)
+
+    async def _http_threads(self, params: dict) -> tuple:
+        return 200, self._debug_threads_text(), _PLAIN_TEXT
+
+    async def _http_profile(self, params: dict) -> tuple:
+        """Profile the event-loop thread for ``?seconds=N`` (default 1).
 
         cProfile runs on the loop thread, so the capture covers exactly the
         work the loop does — protocol parsing, batch coalescing, reply writes
         — while executor/worker CPU time shows up as the time the loop spends
         awaiting them.  Returns pstats text sorted by cumulative time.
         """
+        try:
+            seconds = float(params["seconds"][0]) if "seconds" in params else 1.0
+        except (ValueError, IndexError):
+            return 400, json.dumps({"error": "seconds must be a number"})
+        if not seconds > 0:
+            return 400, json.dumps({"error": "seconds must be positive"})
+        if self._profiling:
+            return 409, json.dumps({"error": "a profile capture is already running"})
+        self._profiling = True
         profiler = cProfile.Profile()
         profiler.enable()
         try:
-            await asyncio.sleep(seconds)
+            await asyncio.sleep(min(seconds, _MAX_PROFILE_SECONDS))
         finally:
             profiler.disable()
+            self._profiling = False
         buffer = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer)
-        stats.sort_stats("cumulative").print_stats(50)
-        return buffer.getvalue()
+        pstats.Stats(profiler, stream=buffer).sort_stats("cumulative").print_stats(50)
+        return 200, buffer.getvalue(), _PLAIN_TEXT
 
-    async def _dispatch_http(
-        self, writer: asyncio.StreamWriter, method: str, path: str, query: str = ""
-    ) -> None:
-        if path == "/traces":
-            if method != "GET":
-                await self._http_respond(
-                    writer, 405, json.dumps({"error": "use GET"})
-                )
-                return
-            params = parse_qs(query)
-            try:
-                limit = int(params["limit"][0]) if "limit" in params else 32
-            except (ValueError, IndexError):
-                limit = 32
-            await self._http_respond(writer, 200, self.traces_json(limit=limit))
-            return
-        if path == "/debug/threads":
-            if method != "GET":
-                await self._http_respond(
-                    writer, 405, json.dumps({"error": "use GET"})
-                )
-                return
-            await self._http_respond(
-                writer,
-                200,
-                self._debug_threads_text(),
-                content_type="text/plain; charset=utf-8",
-            )
-            return
-        if path == "/debug/profile":
-            if method != "GET":
-                await self._http_respond(
-                    writer, 405, json.dumps({"error": "use GET"})
-                )
-                return
-            params = parse_qs(query)
-            try:
-                seconds = float(params["seconds"][0]) if "seconds" in params else 1.0
-            except (ValueError, IndexError):
-                await self._http_respond(
-                    writer, 400, json.dumps({"error": "seconds must be a number"})
-                )
-                return
-            if not seconds > 0:
-                await self._http_respond(
-                    writer, 400, json.dumps({"error": "seconds must be positive"})
-                )
-                return
-            seconds = min(seconds, _MAX_PROFILE_SECONDS)
-            if self._profiling:
-                await self._http_respond(
-                    writer,
-                    409,
-                    json.dumps({"error": "a profile capture is already running"}),
-                )
-                return
-            self._profiling = True
-            try:
-                text = await self._debug_profile_text(seconds)
-            finally:
-                self._profiling = False
-            await self._http_respond(
-                writer, 200, text, content_type="text/plain; charset=utf-8"
-            )
-            return
-        if path == "/alerts":
-            if method != "GET":
-                await self._http_respond(
-                    writer, 405, json.dumps({"error": "use GET"})
-                )
-                return
-            await self._http_respond(writer, 200, self.alerts_json())
-            return
-        if path == "/debug/bundle":
-            if method != "GET":
-                await self._http_respond(
-                    writer, 405, json.dumps({"error": "use GET"})
-                )
-                return
-            # collect_fingerprint shells out to git; keep the loop responsive
-            # by building the bundle on the executor.
-            bundle = await self._loop.run_in_executor(
-                self._executor, self.diagnostics_bundle
-            )
-            await self._http_respond(
-                writer, 200, json.dumps(bundle, sort_keys=True, default=str)
-            )
-            return
-        if path == "/metrics":
-            if method != "GET":
-                await self._http_respond(
-                    writer, 405, json.dumps({"error": "use GET"})
-                )
-                return
-            await self._http_respond(
-                writer,
-                200,
-                self.metrics_prometheus(),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-            )
-            return
-        if path == "/healthz":
-            if method != "GET":
-                await self._http_respond(
-                    writer, 405, json.dumps({"error": "use GET"})
-                )
-                return
-            manager = self.snapshot_manager
-            payload = {
-                "status": "ok" if self._accepting else "draining",
-                "snapshot_version": manager.version if manager is not None else None,
-                "connections": self.num_connections,
-                "queue_depth": self._pending,
-            }
-            await self._http_respond(writer, 200, json.dumps(payload, sort_keys=True))
-            return
-        if path == "/publish":
-            if method != "POST":
-                await self._http_respond(
-                    writer, 405, json.dumps({"error": "use POST"})
-                )
-                return
-            try:
-                snapshot = await self.publish()
-            except (ServingError, GraphError, IndexBuildError) as exc:
-                await self._http_respond(
-                    writer, 409, json.dumps({"error": str(exc)})
-                )
-                return
-            await self._http_respond(
-                writer,
-                200,
-                json.dumps(
-                    {"published": True, "version": snapshot.version},
-                    sort_keys=True,
-                ),
-            )
-            return
-        await self._http_respond(
-            writer,
-            404,
-            json.dumps(
-                {
-                    "error": f"unknown path {path!r}",
-                    "paths": [
-                        "/metrics",
-                        "/healthz",
-                        "/publish",
-                        "/alerts",
-                        "/traces",
-                        "/debug/threads",
-                        "/debug/profile",
-                        "/debug/bundle",
-                    ],
-                }
-            ),
-        )
+    async def _http_bundle(self, params: dict) -> tuple:
+        # collect_fingerprint shells out to git; keep the loop responsive by
+        # building the bundle on the executor.
+        bundle = await self._loop.run_in_executor(self._executor, self.diagnostics_bundle)
+        return 200, json.dumps(bundle, sort_keys=True, default=str)

@@ -39,11 +39,13 @@ and the benchmarks can use either interchangeably.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait as connection_wait
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -117,9 +119,68 @@ def _worker_warmup(delay: float) -> int:
     return os.getpid()
 
 
+def _worker_init(slots, probe_ends: list) -> None:
+    """Pool initializer: claim the next probe pipe and answer every probe on
+    it with this worker's pid, from a daemon thread."""
+    with slots.get_lock():
+        conn = probe_ends[slots.value]
+        slots.value += 1
+    threading.Thread(target=_answer_probes, args=(conn,), daemon=True).start()
+
+
+def _answer_probes(conn) -> None:
+    try:
+        while True:
+            conn.recv_bytes()
+            conn.send(os.getpid())
+    except (EOFError, OSError):  # pragma: no cover - pool torn down
+        pass
+
+
 # ---------------------------------------------------------------------- #
 # Parent side
 # ---------------------------------------------------------------------- #
+
+
+class _WorkerPool(ProcessPoolExecutor):
+    """A process pool whose workers each answer liveness probes on their own pipe."""
+
+    def __init__(self, num_workers: int) -> None:
+        context = multiprocessing.get_context()
+        pipes = [context.Pipe() for _ in range(num_workers)]
+        self._probes = [parent_end for parent_end, _ in pipes]
+        # Probe rounds from the health loop and from batches must not
+        # interleave on the pipes.
+        self._probe_lock = threading.Lock()
+        super().__init__(
+            max_workers=num_workers,
+            mp_context=context,
+            initializer=_worker_init,
+            initargs=(context.Value("i", 0), [child_end for _, child_end in pipes]),
+        )
+
+    def worker_pids(self, timeout: Optional[float] = None) -> List[int]:
+        """Pids of every worker; :class:`BrokenProcessPool` if one has exited.
+
+        Deterministic under any load: a live worker answers on its own pipe,
+        a dead or dying one never does and its sentinel fires.  ``timeout``
+        only guards against a wedged worker.
+        """
+        # ProcessPoolExecutor exposes no public process list; its _processes
+        # table (pid -> process) is None once the pool is shut down.
+        processes = self._processes
+        if processes is None:
+            raise BrokenProcessPool("the sharded worker pool has been shut down")
+        sentinels = [process.sentinel for process in processes.values()]
+        pids = []
+        with self._probe_lock:
+            for probe in self._probes:
+                probe.send_bytes(b"")
+            for probe in self._probes:
+                if probe not in connection_wait([probe, *sentinels], timeout):
+                    raise BrokenProcessPool("a sharded worker process has exited")
+                pids.append(probe.recv())
+        return sorted(pids)
 
 
 class ShardedQueryEngine:
@@ -226,9 +287,9 @@ class ShardedQueryEngine:
                 self._own_generation.retire()
             raise
 
-    def _create_pool(self) -> ProcessPoolExecutor:
+    def _create_pool(self) -> _WorkerPool:
         """Fork a fully warmed pool (see :func:`_worker_warmup`)."""
-        pool = ProcessPoolExecutor(max_workers=self._num_workers)
+        pool = _WorkerPool(self._num_workers)
         wait([pool.submit(_worker_warmup, 0.05) for _ in range(self._num_workers)])
         return pool
 
@@ -330,43 +391,33 @@ class ShardedQueryEngine:
             )
 
     def ping(self) -> List[int]:
-        """Probe every pool worker; respawn the pool if it is broken.
+        """Check every pool worker is alive; respawn the pool if one is not.
 
-        Dispatches one occupy-a-worker task per pool slot (the same trick as
-        the construction warm-up, so the probes land on distinct workers) and
-        returns the responding pids.  A dead worker surfaces as
-        :class:`BrokenProcessPool`; the pool is rebuilt once and re-probed,
-        so a successful return always describes a healthy pool.  Intended to
-        be called periodically (the async front end does) as well as ad hoc.
+        Each worker answers on its own pipe (:meth:`_WorkerPool.worker_pids`),
+        so the answer never depends on which worker a probe task happens to
+        land on.  A dead worker rebuilds the pool once and the replacement is
+        re-checked, so a successful return lists the pids of a healthy pool.
+        Intended to be called periodically (the async front end does) as
+        well as ad hoc.
         """
         if self.closed:
             raise ServingError("sharded engine has been closed")
         for attempt in (0, 1):
             # Optimistic unlocked pool grab: taking _respawn_lock here would
             # serialise every probe behind a pool rebuild; instead a stale
-            # handle surfaces as BrokenProcessPool/RuntimeError and retries.
+            # handle surfaces as BrokenProcessPool and retries.
             pool = self._pool  # reprolint: disable=RL001
             try:
-                futures = [
-                    pool.submit(_worker_warmup, 0.02)
-                    for _ in range(self._num_workers)
-                ]
-                return sorted(
-                    {future.result(timeout=self._shard_timeout) for future in futures}
-                )
+                return pool.worker_pids(self._shard_timeout)
             except BrokenProcessPool:
+                # Also what a pool a concurrent caller already replaced
+                # reports; _respawn_pool then leaves the replacement alone.
                 if attempt:
                     raise ServingError(
                         "sharded worker pool broke again immediately after a "
                         "respawn"
                     ) from None
                 self._respawn_pool(pool)
-            except (RuntimeError, CancelledError):
-                # A concurrent caller respawned the pool underneath this
-                # probe (see query_batch); re-probe the replacement.  The
-                # unlocked identity check is the optimistic-retry protocol.
-                if pool is self._pool or attempt:  # reprolint: disable=RL001
-                    raise
         raise AssertionError("unreachable")  # pragma: no cover
 
     # ------------------------------------------------------------------ #
@@ -464,6 +515,14 @@ class ShardedQueryEngine:
                     continue
             finally:
                 generation.release()
+            if len({pid for pid, _, _ in worker_timings}) < len(shards):
+                # Some worker sat this batch out: it may have died before or
+                # during it while the others answered every shard.  Replace a
+                # broken pool now so the next batch gets every worker back.
+                try:
+                    pool.worker_pids(self._shard_timeout)
+                except BrokenProcessPool:
+                    self._respawn_pool(pool)
             result = np.concatenate(shards)
             if span_sink is not None:
                 for pid, shard_pairs, shard_seconds in worker_timings:

@@ -79,6 +79,57 @@ class TestQueryServer:
             server._running = False
             server._accepting = False
 
+    def test_mismatched_lengths_rejected_at_submit(self, engine):
+        """A length mismatch fails the caller at once, not the batch it would
+        have joined, and is not counted as a server error."""
+        with QueryServer(engine) as server:
+            with pytest.raises(ValueError):
+                server.submit([0, 1], [2])
+            assert server.distance(0, 5) == engine.index.distance(0, 5)
+            assert server.metrics_snapshot()["num_errors"] == 0
+
+    def test_stats_report_index_health_gauges(self, small_social_graph):
+        """The dirty-vertex-ratio alert needs both gauges on every front end."""
+        manager = SnapshotManager.from_graph(small_social_graph)
+        with QueryServer(manager) as server:
+            server.insert_edge(0, small_social_graph.num_vertices - 1)
+            stats = json.loads(server.metrics_json())
+        assert stats["index_num_vertices"] == small_social_graph.num_vertices
+        assert stats["index_dirty_vertices"] > 0
+        assert "kernel_name" in stats
+
+    def test_admission_counters_survive_concurrent_clients(self, engine):
+        """Client threads admit and the worker releases the same counters; a
+        lost update would leave slots held after every request finished."""
+        import sys
+        import threading
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryServer(engine, max_pending=4, batch_timeout=0.0005) as server:
+
+                def client(seed):
+                    for i in range(40):
+                        try:
+                            if i % 4:
+                                server.distance(seed, i % 8, timeout=10)
+                            else:
+                                server.query_one_to_many(seed, [1, 2, 3])
+                        except AdmissionError:
+                            pass
+
+                threads = [threading.Thread(target=client, args=(seed,)) for seed in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert server._pending == 0 and server._fanout_pending == 0
+                assert server.metrics_snapshot()["queue_depth"] == 0
+        finally:
+            sys.setswitchinterval(switch_interval)
+
     def test_cache_integration(self, engine):
         cache = LRUCache(64)
         with QueryServer(engine, cache=cache) as server:
