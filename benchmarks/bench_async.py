@@ -1,8 +1,8 @@
 """Benchmark for the asyncio serving front end under connection pressure.
 
-The threaded TCP server pins one thread per connection, so a few thousand
-mostly-idle clients exhaust the thread budget before the engine breaks a
-sweat.  This benchmark demonstrates what the asyncio front end
+A thread-per-connection server lets a few thousand mostly-idle clients
+exhaust the thread budget before the engine breaks a sweat.  This benchmark
+demonstrates what the asyncio TCP front end
 (:class:`~repro.serving.aio.AsyncQueryFrontend`) does instead:
 
 * holds **>= 2000 concurrent connections** open against a single front-end

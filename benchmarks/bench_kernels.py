@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.index import PrunedLandmarkLabeling
-from repro.core.kernels import KERNEL_CHOICES, registered_kernels
+from repro.core.kernels import registered_kernels
 from repro.generators import holme_kim_graph
 
 #: Minimum best-kernel vs scalar-loop speedup promised at full scale.
@@ -37,10 +37,6 @@ REQUIRED_SPEEDUP = 3.0
 SMOKE_SPEEDUP = 1.5
 #: Batch sizes swept per kernel (the issue's 1 / 64 / 4096 matrix).
 BATCH_SIZES = (1, 64, 4096)
-
-#: Kernel backends to attempt, in registry order (``auto`` is a selector,
-#: not a backend, so it is excluded from the matrix).
-_BACKENDS = tuple(name for name in KERNEL_CHOICES if name != "auto")
 
 
 def _constructible_kernels(index: PrunedLandmarkLabeling) -> Dict[str, object]:
@@ -51,10 +47,9 @@ def _constructible_kernels(index: PrunedLandmarkLabeling) -> Dict[str, object]:
     each matrix row measures the backend it is labelled with.
     """
     base = index.prepare_batch_kernel()
-    registry = registered_kernels()
     kernels = {}
-    for name in _BACKENDS:
-        if not registry[name].available():
+    for name, cls in registered_kernels().items():
+        if not cls.available():
             continue
         clone = base.using(name)
         if clone.selection.selected == name and not clone.selection.fallback:

@@ -1,7 +1,7 @@
 """RL004 — wire replies and protocol vocabulary live in ``protocol.py`` only.
 
-Three front ends (stdio, threaded TCP, asyncio) speak the same line protocol
-through one serving core.  Replies stay wire-identical — the property the
+Two front ends (stdio through the threaded server, TCP through the asyncio
+front end) speak the same line protocol through one serving core.  Replies stay wire-identical — the property the
 equality tests pin — because every reply string and every command word
 comes from ``repro.serving.protocol``; an inline ``f"error: ..."`` would
 drift.
@@ -73,7 +73,7 @@ class ProtocolDriftRule(Rule):
         "inline reply strings or protocol command literals; use protocol.py helpers/constants"
     )
     rationale = (
-        "three front ends stay wire-identical only because replies and vocabulary "
+        "both front ends stay wire-identical only because replies and vocabulary "
         "are defined once in protocol.py; inline literals drift"
     )
 

@@ -124,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="use_async",
         action="store_true",
         help=(
-            "serve the line protocol from a single asyncio event loop instead "
-            "of one thread per connection — thousands of mostly-idle clients "
-            "cost a few coroutines each, not a thread; requires --port"
+            "kept so older command lines still parse; it selects nothing, "
+            "as --port always serves from the asyncio event loop; requires "
+            "--port"
         ),
     )
     serve.add_argument(
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "also bind an HTTP admin plane on this port (async mode only): "
+            "also bind an HTTP admin plane on this port (requires --port): "
             "GET /metrics (Prometheus text exposition incl. latency/stage "
             "histograms and ALERTS series), GET /healthz, POST /publish, "
             "GET /alerts, GET /traces, GET /debug/threads, "
@@ -209,17 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=512,
         help="target query pairs per worker shard (multi-process mode only)",
-    )
-    serve.add_argument(
-        "--kernel",
-        choices=["auto", "numpy", "narrow", "numba"],
-        default=None,
-        help=(
-            "batch-kernel backend: auto picks the fastest available "
-            "(numba > narrow > numpy); an explicit name pins it and makes a "
-            "missing backend a startup error instead of a silent fallback "
-            "(overrides the REPRO_KERNEL environment variable)"
-        ),
     )
     serve.add_argument(
         "--gc-monitor",
@@ -463,26 +452,6 @@ def _command_query(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from repro.core.kernels import KernelUnavailableError, set_default_kernel
-
-    if args.kernel is None:
-        return _run_serve_command(args)
-    # Pin the batch-kernel preference for the whole serve lifetime, then put
-    # it back: tests drive main() in-process, so the module-level preference
-    # must not leak across calls.  An explicit backend name is strict — a
-    # host without that backend is a startup error, not a silent fallback.
-    try:
-        previous = set_default_kernel(args.kernel, strict=args.kernel != "auto")
-    except KernelUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _run_serve_command(args)
-    finally:
-        set_default_kernel(previous)
-
-
-def _run_serve_command(args: argparse.Namespace) -> int:
     from repro.core.serialization import load_index
     from repro.errors import GraphError, ReproError, SerializationError
     from repro.graph.io import read_edge_list
@@ -509,15 +478,14 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         return 2
     if args.use_async and args.port is None:
         print(
-            "error: --async serves TCP (and optional HTTP) from an event "
-            "loop; it requires --port",
+            "error: --async applies to the TCP front end; it requires --port",
             file=sys.stderr,
         )
         return 2
-    if args.http_port is not None and not args.use_async:
+    if args.http_port is not None and args.port is None:
         print(
-            "error: the HTTP admin plane (--http-port) is part of the async "
-            "front end; add --async",
+            "error: the HTTP admin plane (--http-port) is part of the TCP "
+            "front end; add --port",
             file=sys.stderr,
         )
         return 2
@@ -553,6 +521,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         slow_logger = base.child("slow-query")
     tracer = TraceRecorder(slow_threshold_ms=args.slow_ms, logger=slow_logger)
     sharded = args.workers > 1
+    use_tcp = args.port is not None
     if args.edge_list is not None:
         try:
             graph, _ = read_edge_list(args.edge_list)
@@ -626,7 +595,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
                 batch_size=args.batch_size,
                 workers=args.workers,
                 writable=manager.writable,
-                frontend="async" if args.use_async else "threaded",
+                frontend="async" if use_tcp else "threaded",
                 slow_ms=args.slow_ms,
                 kernel=kernel_info["selected"],
             )
@@ -635,7 +604,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
                 f"serving {manager.current.engine.num_vertices} vertices from {source} "
                 f"(cache={args.cache_size}, batch={args.batch_size}, "
                 f"workers={args.workers}, writable={manager.writable}, "
-                f"frontend={'async' if args.use_async else 'threaded'}, "
+                f"frontend={'async' if use_tcp else 'threaded'}, "
                 f"kernel={kernel_info['selected']})",
                 file=sys.stderr,
             )
@@ -655,7 +624,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         # current snapshot version for cache invalidation at construction, so
         # a replayed publish afterwards bumps the version and flushes any
         # --warm entries on the first batch instead of serving them stale.
-        if args.use_async:
+        if use_tcp:
             front = AsyncQueryFrontend(
                 backend,
                 health_check_interval=5.0 if sharded else None,
@@ -690,10 +659,10 @@ def _run_serve_command(args: argparse.Namespace) -> int:
                 )
         health, shadow = _start_observability(args, front, logger)
         try:
-            if args.use_async:
+            if use_tcp:
                 _run_async_serve(args, front, logger)
             else:
-                _run_threaded_serve(args, front, logger)
+                _run_stdio_serve(front, logger)
         finally:
             _stop_observability(health, shadow)
         stats = front.metrics_snapshot()
@@ -830,36 +799,21 @@ def _run_async_serve(args, frontend, logger=None) -> None:
         pass
 
 
-def _run_threaded_serve(args, server, logger=None) -> None:
-    """Serve stdio (no ``--port``) or threaded TCP until EOF/QUIT or interrupt."""
-    from repro.serving import serve_stdio, serve_tcp
+def _run_stdio_serve(server, logger=None) -> None:
+    """Serve the line protocol on stdin/stdout until EOF or ``QUIT``."""
+    from repro.serving import serve_stdio
 
     with server:
-        if args.port is None:
-            if logger is not None:
-                logger.event("listening", transport="stdio")
-            else:
-                print(
-                    "reading queries from stdin ('s t' or 's,t' per line; "
-                    "add/remove a b and publish to mutate; STATS for metrics; "
-                    "TRACES for recent traces; QUIT to exit)",
-                    file=sys.stderr,
-                )
-            serve_stdio(server)
-            return
-        tcp = serve_tcp(server, args.host, args.port)
-        host, port = tcp.server_address[:2]
         if logger is not None:
-            logger.event("listening", host=host, port=port, frontend="threaded")
+            logger.event("listening", transport="stdio")
         else:
-            print(f"listening on {host}:{port}", file=sys.stderr)
-        try:
-            tcp.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
-            pass
-        finally:
-            tcp.shutdown()
-            tcp.server_close()
+            print(
+                "reading queries from stdin ('s t' or 's,t' per line; "
+                "add/remove a b and publish to mutate; STATS for metrics; "
+                "TRACES for recent traces; QUIT to exit)",
+                file=sys.stderr,
+            )
+        serve_stdio(server)
 
 
 def _command_datasets(args: argparse.Namespace) -> int:

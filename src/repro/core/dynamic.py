@@ -149,8 +149,7 @@ class DynamicPrunedLandmarkLabeling:
         self._attached_root: Optional[int] = None
         self._np_touched: Optional[np.ndarray] = None
         # Kernel backend class for the batched rooted probes of the repair
-        # path; re-selected per build so the process preference (``--kernel``
-        # / ``REPRO_KERNEL``) applies to mutations too.
+        # path, picked by the same automatic selection as the batch kernel.
         self._probe_kernel = select_kernel()
         return self
 

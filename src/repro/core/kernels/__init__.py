@@ -2,25 +2,27 @@
 
 The registry holds every :class:`~repro.core.kernels.base.KernelBackend`
 implementation; :func:`create_kernel` picks the best one for a concrete
-index (honouring the process-wide preference set by ``repro-pll serve
---kernel`` or the ``REPRO_KERNEL`` environment variable) and records the
-outcome as a :class:`~repro.core.kernels.base.KernelSelection` — surfaced
-as a structured log event on the ``repro.kernels`` logger, and by the
-serving layer as a ``/metrics`` info gauge.
+index and records the outcome as a
+:class:`~repro.core.kernels.base.KernelSelection` — surfaced as a
+structured log event on the ``repro.kernels`` logger, and by the serving
+layer as a ``/metrics`` info gauge.
 
 Selection rules:
 
-* ``auto`` (the default): the available, layout-compatible backend with the
-  highest priority wins (numba > narrow > numpy).  Backends that are simply
-  not installed or whose layout requirements the index does not meet are
-  skipped silently — that is normal operation, not a fallback.
-* An explicit backend name: that backend is tried first; if it cannot serve
-  (not installed, layout unsupported, or its constructor — e.g. a JIT
-  warm-up compile — fails), selection *falls back* to the numpy baseline
-  and the selection is flagged ``fallback=True`` with the reason, so a
-  degraded process is visible in logs and metrics rather than silent.
-* A constructor failure under ``auto`` is likewise a flagged fallback: the
-  next candidate is tried, ending at numpy, which always constructs.
+* ``auto`` (what every index and server uses): the available,
+  layout-compatible backend with the highest priority wins (numba > narrow
+  > numpy).  Backends that are simply not installed or whose layout
+  requirements the index does not meet are skipped silently — that is
+  normal operation, not a fallback.  A constructor failure (e.g. a JIT
+  warm-up compile) is a flagged fallback: the next candidate is tried,
+  ending at numpy, which always constructs, and the selection carries
+  ``fallback=True`` with the reason, so a degraded process is visible in
+  logs and metrics rather than silent.
+* An explicit backend name (:meth:`~repro.core.query.BatchQueryKernel.using`,
+  for the cross-kernel equality tests and the kernel benchmark matrix):
+  that backend is tried first; if it cannot serve (not installed, layout
+  unsupported, or its constructor fails), selection *falls back* to the
+  numpy baseline, flagged the same way.
 
 The numpy baseline is byte-identical to the pre-kernel code and always
 available, so every selection terminates successfully.
@@ -29,7 +31,6 @@ available, so every selection terminates successfully.
 from __future__ import annotations
 
 import logging
-import os
 from typing import Dict, List, Optional, Tuple, Type
 
 from repro.core.kernels.base import (
@@ -50,12 +51,9 @@ __all__ = [
     "DtypePlan",
     "plan_dtypes",
     "NARROW_MAX_DISTANCE",
-    "KERNEL_CHOICES",
     "register_kernel",
     "registered_kernels",
     "available_kernels",
-    "kernel_preference",
-    "set_default_kernel",
     "select_kernel",
     "create_kernel",
 ]
@@ -64,14 +62,7 @@ __all__ = [
 #: emitted here; tests and the serving layer's log plumbing both hook it.
 _logger = logging.getLogger("repro.kernels")
 
-#: Environment variable consulted when no explicit preference is set.
-_ENV_VAR = "REPRO_KERNEL"
-
 _REGISTRY: Dict[str, Type[KernelBackend]] = {}
-
-#: Process-wide preference installed by ``set_default_kernel`` (the CLI
-#: ``--kernel`` flag); ``None`` means "consult the environment".
-_default_preference: Optional[str] = None
 
 
 def register_kernel(cls: Type[KernelBackend]) -> Type[KernelBackend]:
@@ -94,47 +85,6 @@ def available_kernels() -> List[str]:
     return [cls.name for cls in _by_priority() if cls.available()]
 
 
-def kernel_preference() -> str:
-    """The effective preference: explicit setting, else env var, else auto."""
-    if _default_preference is not None:
-        return _default_preference
-    env = os.environ.get(_ENV_VAR, "").strip().lower()
-    if env and (env == "auto" or env in _REGISTRY):
-        return env
-    return "auto"
-
-
-def set_default_kernel(
-    preference: Optional[str], *, strict: bool = False
-) -> Optional[str]:
-    """Install the process-wide kernel preference; returns the previous one.
-
-    ``None`` clears the explicit preference (the ``REPRO_KERNEL`` environment
-    variable applies again).  With ``strict``, an explicitly named backend
-    that cannot run in this process raises :class:`KernelUnavailableError`
-    instead of silently arming a fallback — the CLI uses this so ``--kernel
-    numba`` without numba fails fast with a clean error.
-    """
-    global _default_preference
-    previous = _default_preference
-    if preference is None:
-        _default_preference = None
-        return previous
-    name = preference.strip().lower()
-    if name != "auto" and name not in _REGISTRY:
-        raise KernelUnavailableError(f"unknown kernel {preference!r}")
-    if strict and name != "auto":
-        cls = _REGISTRY[name]
-        if not cls.available():
-            raise KernelUnavailableError(
-                f"kernel '{name}' is not available in this environment "
-                "(install the 'accel' extra for the numba backend: "
-                "pip install repro-pll[accel])"
-            )
-    _default_preference = name
-    return previous
-
-
 def _candidates(preference: str) -> List[Type[KernelBackend]]:
     if preference == "auto":
         return _by_priority()
@@ -145,31 +95,30 @@ def _candidates(preference: str) -> List[Type[KernelBackend]]:
     return [chosen, fallback]
 
 
-def select_kernel(preference: Optional[str] = None) -> Type[KernelBackend]:
-    """The backend *class* the current preference resolves to.
+def select_kernel() -> Type[KernelBackend]:
+    """The backend *class* automatic selection resolves to.
 
     Used where there is no persistent index to bind (the dynamic oracle's
     rooted repair probes): only ``available()`` is consulted, and the numpy
     baseline is the terminal candidate.
     """
-    effective = preference if preference is not None else kernel_preference()
-    for cls in _candidates(effective):
+    for cls in _by_priority():
         if cls.available():
             return cls
     return _REGISTRY["numpy"]
 
 
 def create_kernel(
-    data: KernelData, preference: Optional[str] = None
+    data: KernelData, requested: str = "auto"
 ) -> Tuple[KernelBackend, KernelSelection]:
     """Construct the best kernel for ``data`` and report what happened.
 
-    Never raises for backend trouble: any candidate that is unavailable,
-    rejects the layout, or fails to construct is skipped (flagged as a
-    fallback when it was explicitly requested or actually attempted), and
-    the numpy baseline terminates the chain.
+    ``requested`` is ``"auto"`` or, for :meth:`BatchQueryKernel.using`, one
+    backend name.  Never raises for backend trouble: any candidate that is
+    unavailable, rejects the layout, or fails to construct is skipped
+    (flagged as a fallback when it was explicitly requested or actually
+    attempted), and the numpy baseline terminates the chain.
     """
-    requested = preference if preference is not None else kernel_preference()
     reasons: List[str] = []
     impl: Optional[KernelBackend] = None
     for cls in _candidates(requested):
@@ -224,6 +173,3 @@ from repro.core.kernels.numpy_kernel import NumpyKernel  # noqa: E402
 register_kernel(NumpyKernel)
 register_kernel(NarrowKernel)
 register_kernel(NumbaKernel)
-
-#: Valid ``--kernel`` / ``REPRO_KERNEL`` values, in CLI display order.
-KERNEL_CHOICES = ("auto", "numpy", "narrow", "numba")

@@ -178,7 +178,7 @@ class KernelBackend(abc.ABC):
     always-available numpy baseline.
     """
 
-    #: Registry/selection name (also the ``--kernel`` / ``REPRO_KERNEL`` value).
+    #: Registry/selection name (the argument of ``BatchQueryKernel.using``).
     name: str = ""
     #: Capability flags (see the ``CAP_*`` constants).
     capabilities: frozenset = frozenset()

@@ -207,7 +207,6 @@ class BatchQueryKernel:
         labels: LabelSet,
         *,
         backend: Optional[ArrayBackend] = None,
-        preference: Optional[str] = None,
     ) -> None:
         num_vertices = labels.num_vertices
         sizes = np.asarray(labels.label_sizes(), dtype=np.int64)
@@ -226,7 +225,7 @@ class BatchQueryKernel:
         self._entry_dists = labels.distances
         self._indptr = labels.indptr
         self._sizes = sizes
-        self._finish(backend=backend, preference=preference)
+        self._finish(backend=backend)
 
     def _finish(
         self,
@@ -234,7 +233,7 @@ class BatchQueryKernel:
         backend: Optional[ArrayBackend] = None,
         plan: Optional[DtypePlan] = None,
         narrow_fields: Optional[Mapping[str, np.ndarray]] = None,
-        preference: Optional[str] = None,
+        requested: str = "auto",
     ) -> None:
         """Decide the dtype plan, stage narrow arrays, select the backend.
 
@@ -268,7 +267,7 @@ class BatchQueryKernel:
             plan=plan,
             narrow=narrow,
         )
-        self._impl, self._selection = create_kernel(data, preference)
+        self._impl, self._selection = create_kernel(data, requested)
 
     @classmethod
     def from_arrays(
@@ -278,7 +277,6 @@ class BatchQueryKernel:
         *,
         plan: Optional[DtypePlan] = None,
         narrow_fields: Optional[Mapping[str, np.ndarray]] = None,
-        preference: Optional[str] = None,
     ) -> "BatchQueryKernel":
         """Reassemble a kernel from ``labels`` plus stored kernel arrays.
 
@@ -304,7 +302,7 @@ class BatchQueryKernel:
         kernel._indptr = labels.indptr
         kernel._sizes = np.asarray(labels.label_sizes(), dtype=np.int64)
         kernel._stride = np.int64(max(labels.num_vertices, 1))
-        kernel._finish(plan=plan, narrow_fields=narrow_fields, preference=preference)
+        kernel._finish(plan=plan, narrow_fields=narrow_fields)
         return kernel
 
     @property
@@ -377,7 +375,7 @@ class BatchQueryKernel:
         kernel._finish(
             plan=self._plan,
             narrow_fields=self._impl.data.narrow,
-            preference=preference,
+            requested=preference,
         )
         return kernel
 

@@ -15,14 +15,14 @@ while the index is updated underneath it.
   one serving core: admission control, batch evaluation through the cache,
   one-to-many fan-outs, mutations, metrics/traces/alerts and the line
   protocol.  Two transports drive it and add only their concurrency:
-  :class:`AsyncQueryFrontend` (same module) multiplexes thousands of
-  connections on one event loop, with the HTTP admin plane (Prometheus
-  ``/metrics``, ``/healthz``, ``/publish``, ``/alerts``) plus the debug
-  surface (``/traces``, ``/debug/threads``, ``/debug/profile``,
-  ``/debug/bundle``) and graceful drain.
+  :class:`AsyncQueryFrontend` (same module), the one TCP front end,
+  multiplexes thousands of connections on one event loop, with the HTTP
+  admin plane (Prometheus ``/metrics``, ``/healthz``, ``/publish``,
+  ``/alerts``) plus the debug surface (``/traces``, ``/debug/threads``,
+  ``/debug/profile``, ``/debug/bundle``) and graceful drain.
 * :mod:`~repro.serving.server` — :class:`QueryServer`, the threaded
   transport (a worker thread coalescing a queue, blocking callers), plus the
-  stdio and thread-per-connection TCP front ends, mutation replay
+  stdio front end (:func:`serve_stdio`), mutation replay
   (:func:`replay_mutations`) and the cache-warming replay
   (:func:`warm_cache`).
 * :mod:`~repro.serving.alerts` — :class:`HealthMonitor`, the background
@@ -67,7 +67,6 @@ from repro.serving.server import (
     read_pairs_file,
     replay_mutations,
     serve_stdio,
-    serve_tcp,
     warm_cache,
 )
 from repro.serving.sharded import ShardedQueryEngine, default_worker_count
@@ -101,7 +100,6 @@ __all__ = [
     "read_pairs_file",
     "replay_mutations",
     "serve_stdio",
-    "serve_tcp",
     "warm_cache",
     "ServerMetrics",
     "LatencyWindow",

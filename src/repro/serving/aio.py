@@ -9,11 +9,12 @@ The core lives in this module because the benchmark's traced run
 (``perfbench/instrument.py``) wraps ``cached_query_batch`` and the protocol
 parse/format functions as attributes of ``repro.serving.aio``.
 
-The asyncio front end multiplexes thousands of connections on one event
+The asyncio front end is the one TCP front end (stdio is served by the
+threaded transport); it multiplexes thousands of connections on one event
 loop:
 
 * **Line protocol over asyncio streams.**  Every client connection speaks
-  exactly the protocol of the threaded server (``s t`` queries, ``many``
+  exactly the protocol of the stdio front end (``s t`` queries, ``many``
   fan-outs, ``add``/``remove``/``publish`` mutations, ``STATS`` /
   ``STATS JSON``, ``TRACES``, ``ALERTS``, ``QUIT``), parsed and rendered by
   the shared core, so every reply is byte-identical across front ends —
@@ -1287,6 +1288,11 @@ class AsyncQueryFrontend(ServingCore):
                         content_length = int(value.strip())
                     except ValueError:
                         content_length = 0
+            if content_length < 0:
+                await self._http_respond(
+                    writer, 400, json.dumps({"error": "bad Content-Length"})
+                )
+                return
             if content_length:
                 # The admin verbs take no body; read and discard a bounded
                 # amount so the reply is not mistaken for a pipelined response.
@@ -1386,7 +1392,9 @@ class AsyncQueryFrontend(ServingCore):
         try:
             limit = int(params["limit"][0]) if "limit" in params else 32
         except (ValueError, IndexError):
-            limit = 32
+            return 400, json.dumps({"error": "limit must be an integer"})
+        if limit < 0:
+            return 400, json.dumps({"error": "limit must be non-negative"})
         return 200, self.traces_json(limit=limit)
 
     async def _http_threads(self, params: dict) -> tuple:

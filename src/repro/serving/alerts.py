@@ -268,7 +268,7 @@ class HealthMonitor:
 def alerts_wire_reply(health: Optional[HealthMonitor]) -> str:
     """The ``alerts`` wire-verb / ``GET /alerts`` JSON body.
 
-    Shared by all three front ends so the reply shape cannot drift between
+    Shared by both front ends so the reply shape cannot drift between
     them (the same reason ``protocol.py`` exists).  A front end without a
     monitor attached reports ``enabled: false`` rather than erroring.
     """

@@ -1,4 +1,4 @@
-"""Threaded query server: a worker thread, blocking callers, stdio and TCP.
+"""Threaded query server: a worker thread, blocking callers, stdio.
 
 :class:`QueryServer` is the threaded transport of the shared
 :class:`~repro.serving.aio.ServingCore` (admission, batch evaluation through
@@ -14,14 +14,13 @@ live there).  This module adds only the threaded concurrency:
   elapses, and hands each batch to the core.  Callers block on
   :meth:`~repro.serving.aio.QueryRequest.wait`.
 
-Two thin front ends speak the line protocol (``s t`` or ``s,t`` per query;
+:func:`serve_stdio` speaks the line protocol (``s t`` or ``s,t`` per query;
 ``many s t1 t2 ...`` fan-outs; ``add a b`` / ``remove a b`` to mutate the
 shadow graph and ``publish`` to hot-swap the mutations in; ``STATS`` /
 ``STATS JSON`` for a JSON metrics line; ``TRACES`` / ``ALERTS``; ``QUIT`` to
-end the session): :func:`serve_stdio` for pipes/interactive use and
-:func:`serve_tcp` for network clients (stdlib ``socketserver``, one thread
-per connection — see :class:`~repro.serving.aio.AsyncQueryFrontend` for the
-event-loop front end that multiplexes thousands of connections instead).
+end the session) over pipes or an interactive terminal.  Network clients are
+served by :class:`~repro.serving.aio.AsyncQueryFrontend`, the event-loop
+front end that multiplexes thousands of TCP connections.
 :func:`replay_mutations` drives the same mutation vocabulary from a file
 against either front end (the ``--mutations`` serve option), and
 :func:`warm_cache` replays a query log into the hot-pair cache before a
@@ -31,7 +30,6 @@ listener starts accepting traffic (the ``--warm`` serve option).
 from __future__ import annotations
 
 import queue
-import socketserver
 import sys
 import threading
 import time
@@ -62,7 +60,6 @@ __all__ = [
     "read_pairs_file",
     "replay_mutations",
     "serve_stdio",
-    "serve_tcp",
     "warm_cache",
 ]
 
@@ -478,40 +475,3 @@ def serve_stdio(
         if reply:
             print(reply, file=out_stream, flush=True)
     return handled
-
-
-class _LineProtocolHandler(socketserver.StreamRequestHandler):
-    """One TCP connection speaking the line protocol."""
-
-    def handle(self) -> None:  # pragma: no cover - exercised via serve_tcp tests
-        while True:
-            raw = self.rfile.readline()
-            if not raw:
-                break
-            reply = _handle_line(self.server.query_server, raw.decode("utf-8", "replace"))
-            if reply is None:
-                break
-            if reply:
-                self.wfile.write((reply + "\n").encode("utf-8"))
-                self.wfile.flush()
-
-
-class _ThreadedTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address, query_server: QueryServer) -> None:
-        super().__init__(address, _LineProtocolHandler)
-        self.query_server = query_server
-
-
-def serve_tcp(
-    server: QueryServer, host: str = "127.0.0.1", port: int = 0
-) -> _ThreadedTCPServer:
-    """Bind a threaded TCP front end for ``server`` (not yet serving).
-
-    Returns the bound ``socketserver`` instance; call ``serve_forever()`` on
-    it (blocking) or drive it from a thread.  ``port=0`` binds an ephemeral
-    port, available as ``server_address[1]``.
-    """
-    return _ThreadedTCPServer((host, port), server)

@@ -162,32 +162,6 @@ class TestServeCommand:
         assert main(["serve", str(index_path), "--cache-size", "0"]) == 0
         assert capsys.readouterr().out.startswith("0\t5\t")
 
-    def test_serve_explicit_kernel(self, index_path, capsys, monkeypatch):
-        import io
-
-        from repro.core.kernels import kernel_preference
-
-        monkeypatch.setattr("sys.stdin", io.StringIO("0 5\nQUIT\n"))
-        assert main(["serve", str(index_path), "--kernel", "numpy"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("0\t5\t")
-        assert "kernel=numpy" in captured.err
-        # The process-wide preference must not leak out of the serve call.
-        assert kernel_preference() == "auto"
-
-    def test_serve_unavailable_kernel_exits_cleanly(self, index_path, capsys):
-        from repro.core.kernels.numba_kernel import numba_installed
-
-        if numba_installed():
-            pytest.skip("needs a numba-free host")
-        assert main(["serve", str(index_path), "--kernel", "numba"]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "numba" in err and "accel" in err
-
-    def test_serve_kernel_rejects_unknown_name(self, index_path, capsys):
-        with pytest.raises(SystemExit):
-            main(["serve", str(index_path), "--kernel", "vulkan"])
-
     def test_serve_requires_exactly_one_input(self, index_path, tmp_path, capsys):
         assert main(["serve"]) == 2
         assert "exactly one input" in capsys.readouterr().err
@@ -257,9 +231,9 @@ class TestServeCommand:
         assert main(["serve", str(index_path), "--async"]) == 2
         assert "requires --port" in capsys.readouterr().err
 
-    def test_serve_http_port_requires_async(self, index_path, capsys):
+    def test_serve_http_port_requires_port(self, index_path, capsys):
         assert main(["serve", str(index_path), "--http-port", "0"]) == 2
-        assert "--async" in capsys.readouterr().err
+        assert "add --port" in capsys.readouterr().err
 
     def test_serve_warm_requires_cache(self, index_path, tmp_path, capsys):
         warm_path = tmp_path / "warm.txt"
@@ -502,6 +476,71 @@ class TestServeCommand:
             if proc.poll() is None:  # pragma: no cover - only on test failure
                 proc.kill()
                 proc.wait(timeout=10)
+
+
+    def test_serve_port_without_async_keeps_benchmark_contract(self, index_path):
+        """``--port`` alone serves TCP and the admin plane: the stderr lines,
+        metrics and drain the benchmark harness relies on, without --async."""
+        import os
+        import re
+        import signal
+        import socket
+        import subprocess
+        import sys as _sys
+        import urllib.request
+
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [
+                _sys.executable, "-m", "repro.cli", "serve", str(index_path),
+                "--port", "0", "--http-port", "0",
+            ],
+            env=env,
+            stdin=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            tcp = http = None
+            for _ in range(50):
+                line = proc.stderr.readline()
+                listen = re.search(r"listening on ([0-9.]+):(\d+)", line)
+                if listen:
+                    tcp = (listen.group(1), int(listen.group(2)))
+                admin = re.search(r"admin plane on http://([0-9.]+):(\d+)", line)
+                if admin:
+                    http = (admin.group(1), int(admin.group(2)))
+                    break
+            assert tcp is not None and http is not None
+
+            with socket.create_connection(tcp, timeout=10) as conn:
+                conn.settimeout(10)
+                conn.sendall(b"0 5\n")
+                data = b""
+                while b"\n" not in data:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        break
+                    data += chunk
+                assert data.decode().startswith("0\t5\t")
+
+                url = f"http://{http[0]}:{http[1]}/metrics"
+                with urllib.request.urlopen(url, timeout=10) as resp:
+                    metrics = resp.read().decode()
+                assert re.search(r'^repro_pll_kernel_info\{kernel="\w+"', metrics, re.M)
+                for gauge in ("repro_pll_index_label_entries", "repro_pll_index_num_vertices"):
+                    assert re.search(rf"^{gauge} [0-9.e+]+$", metrics, re.M), gauge
+
+                proc.send_signal(signal.SIGTERM)
+                assert conn.recv(4096) == b""
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:  # pragma: no cover - only on test failure
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stderr.close()
 
 
 class TestDatasetsCommand:

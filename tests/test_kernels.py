@@ -23,18 +23,12 @@ import pytest
 
 from repro.core.index import PrunedLandmarkLabeling
 from repro.core.kernels import (
-    KERNEL_CHOICES,
-    KernelUnavailableError,
     available_kernels,
-    create_kernel,
-    kernel_preference,
     plan_dtypes,
     registered_kernels,
-    select_kernel,
-    set_default_kernel,
 )
 from repro.core.kernels.base import NARROW_MAX_DISTANCE, DtypePlan
-from repro.core.kernels.narrow import NARROW_FIELDS, NarrowKernel
+from repro.core.kernels.narrow import NARROW_FIELDS
 from repro.core.kernels.numba_kernel import (
     NumbaKernel,
     _JIT_NO_HUB,
@@ -49,15 +43,6 @@ from repro.generators import barabasi_albert_graph
 from repro.graph.csr import Graph
 from repro.serving import BatchQueryEngine, SnapshotManager
 from repro.serving.metrics import index_health_stats, render_prometheus_text
-
-
-@pytest.fixture
-def restore_kernel_preference():
-    """Snapshot and restore the process-wide kernel preference."""
-    previous = set_default_kernel(None)
-    set_default_kernel(previous)
-    yield
-    set_default_kernel(previous)
 
 
 @pytest.fixture
@@ -116,8 +101,8 @@ class TestDtypePlan:
 
 
 class TestSelection:
-    def test_registry_matches_cli_choices(self):
-        assert set(registered_kernels()) == set(KERNEL_CHOICES) - {"auto"}
+    def test_registry_lists_every_backend(self):
+        assert list(registered_kernels()) == ["numpy", "narrow", "numba"]
         assert "numpy" in available_kernels()
 
     def test_auto_picks_highest_priority_available(self, built_index):
@@ -155,7 +140,7 @@ class TestSelection:
         assert "does not support" in clone.selection.reason
 
     def test_constructor_failure_falls_back_and_is_logged(
-        self, built_index, monkeypatch, caplog, restore_kernel_preference
+        self, built_index, monkeypatch, caplog
     ):
         monkeypatch.setattr(NumbaKernel, "available", classmethod(lambda cls: True))
 
@@ -170,47 +155,24 @@ class TestSelection:
         assert clone.selection.fallback
         assert "synthetic compile failure" in clone.selection.reason
 
-    def test_env_var_preference(self, monkeypatch, restore_kernel_preference):
-        set_default_kernel(None)
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert kernel_preference() == "numpy"
-        assert select_kernel() is NumpyKernel
-        monkeypatch.setenv("REPRO_KERNEL", "not-a-kernel")
-        assert kernel_preference() == "auto"
-
-    def test_set_default_kernel_returns_previous(self, restore_kernel_preference):
-        first = set_default_kernel("numpy")
-        assert set_default_kernel("auto") == "numpy"
-        assert set_default_kernel(first) == "auto"
-
-    def test_set_default_kernel_rejects_unknown(self):
-        with pytest.raises(KernelUnavailableError):
-            set_default_kernel("vulkan")
-
-    @pytest.mark.skipif(numba_installed(), reason="needs a numba-free host")
-    def test_strict_set_default_raises_for_unavailable(self):
-        with pytest.raises(KernelUnavailableError, match="accel"):
-            set_default_kernel("numba", strict=True)
-
-    def test_selection_flags_surface_in_metrics(
-        self, built_index, monkeypatch, restore_kernel_preference
-    ):
+    def test_selection_flags_surface_in_metrics(self, monkeypatch):
         monkeypatch.setattr(NumbaKernel, "available", classmethod(lambda cls: True))
 
         def boom(self, data):
             raise RuntimeError("synthetic compile failure")
 
         monkeypatch.setattr(NumbaKernel, "__init__", boom)
-        set_default_kernel("numba")
         index = PrunedLandmarkLabeling().build(barabasi_albert_graph(150, 3, seed=5))
         engine = BatchQueryEngine(index)
         stats = index_health_stats(engine)
+        # Automatic selection tried numba first; its failed constructor is a
+        # flagged fallback to the next candidate.
         assert stats["kernel_fallback"] == 1
-        assert stats["kernel_requested"] == "numba"
-        assert stats["kernel_name"] in ("numpy", "narrow")
+        assert stats["kernel_requested"] == "auto"
+        assert stats["kernel_name"] == "narrow"
         text = render_prometheus_text(stats)
         assert "repro_pll_kernel_fallback 1" in text
-        assert 'requested="numba"' in text
+        assert 'repro_pll_kernel_info{kernel="narrow",requested="auto"} 1' in text
 
     def test_healthy_selection_reports_no_fallback(self, built_index):
         stats = index_health_stats(BatchQueryEngine(built_index))

@@ -296,6 +296,27 @@ class TestHttpAdminPlane:
         raw = run(scenario())
         assert raw.startswith(b"HTTP/1.1 400")
 
+    def test_negative_content_length_answers_bad_content_length(self, engine):
+        async def scenario():
+            frontend = AsyncQueryFrontend(engine)
+            await frontend.start()
+            await frontend.start_http()
+            http_host, http_port = frontend.http_address
+            reader, writer = await asyncio.open_connection(http_host, http_port)
+            writer.write(
+                b"POST /publish HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+            )
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(-1), timeout=10)
+            writer.close()
+            await frontend.stop()
+            return raw
+
+        raw = run(scenario())
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(body) == {"error": "bad Content-Length"}
+
     def test_publish_without_writable_backend_conflicts(self, engine):
         async def scenario():
             frontend = AsyncQueryFrontend(engine)
@@ -492,6 +513,35 @@ class TestTracesAndDebugSurface:
         assert len(json.loads(lim_body)["recent"]) == 1
         # The wire TRACES command serves the same payload shape.
         assert json.loads(wire[0])["num_recorded"] == 2
+
+    def test_traces_limit_must_be_a_non_negative_integer(self, engine):
+        async def scenario():
+            frontend = AsyncQueryFrontend(engine)
+            await frontend.start()
+            await frontend.start_tcp()
+            await frontend.start_http()
+            host, port = frontend.tcp_address
+            http_host, http_port = frontend.http_address
+            await _send_lines(host, port, "0 5\n1 7\n2 3\nQUIT\n")
+            replies = {}
+            for query in ("", "?limit=0", "?limit=-1", "?limit=abc", "?limit="):
+                replies[query] = await _http_request(
+                    http_host, http_port, "GET", "/traces" + query
+                )
+            await frontend.stop()
+            return replies
+
+        replies = run(scenario())
+        assert replies[""][0] == 200
+        assert len(json.loads(replies[""][1])["recent"]) == 3
+        assert replies["?limit=0"][0] == 200
+        assert json.loads(replies["?limit=0"][1])["recent"] == []
+        # A blank value is no limit at all (parse_qs drops it).
+        assert len(json.loads(replies["?limit="][1])["recent"]) == 3
+        for query in ("?limit=-1", "?limit=abc"):
+            status, body = replies[query]
+            assert status == 400
+            assert "limit" in json.loads(body)["error"]
 
     def test_sharded_query_trace_stitches_worker_spans(self, small_social_graph):
         """The acceptance path: a query answered by the multi-process engine

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import socket
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from repro.serving import (
     QueryServer,
     SnapshotManager,
     serve_stdio,
-    serve_tcp,
 )
 
 
@@ -239,31 +237,6 @@ class TestWireProtocol:
             handled = serve_stdio(server, io.StringIO("0 5\n"), out_stream)
         assert handled == 1
         assert out_stream.getvalue().count("\t") == 2
-
-    def test_tcp_round_trip(self, engine):
-        with QueryServer(engine) as server:
-            tcp = serve_tcp(server, "127.0.0.1", 0)
-            import threading
-
-            thread = threading.Thread(target=tcp.serve_forever, daemon=True)
-            thread.start()
-            try:
-                host, port = tcp.server_address[:2]
-                with socket.create_connection((host, port), timeout=10) as conn:
-                    conn.sendall(b"0 5\nSTATS\nQUIT\n")
-                    conn.settimeout(10)
-                    data = b""
-                    while b"\n" not in data.partition(b"\n")[2]:
-                        chunk = conn.recv(4096)
-                        if not chunk:
-                            break
-                        data += chunk
-                replies = data.decode().splitlines()
-                assert replies[0].startswith("0\t5\t")
-                assert json.loads(replies[1])["num_queries"] >= 1
-            finally:
-                tcp.shutdown()
-                tcp.server_close()
 
 
 class TestMutationProtocol:
